@@ -49,7 +49,8 @@ fn bench_mlp(c: &mut Criterion) {
 fn bench_controller(c: &mut Criterion) {
     // The minibatch-GEMM datapath vs the scalar per-sample datapath, at
     // kernel level (forward over a 32-row batch) and at training-step
-    // level (DqnAgent::train_once on a fully-valid replay, batch 256).
+    // level (DqnAgent::train_once on a fully-valid replay, batch 256),
+    // plus the fast config's training step (batch 32) and its kernels.
     let mut group = c.benchmark_group("controller");
     let cfg = ResembleConfig::default();
     let net = Mlp::new(
@@ -130,22 +131,90 @@ fn bench_controller(c: &mut Criterion) {
             })
         });
     }
-    for (label, dp) in [
-        ("train_once_batched", Datapath::Batched),
-        ("train_once_per_sample", Datapath::PerSample),
+    for (label, cfg, dp) in [
+        ("train_once_batched", cfg, Datapath::Batched),
+        ("train_once_per_sample", cfg, Datapath::PerSample),
+        (
+            "train_once_fast32",
+            ResembleConfig::fast(),
+            Datapath::Batched,
+        ),
     ] {
         let mut agent = DqnAgent::new(cfg, 1);
         agent.set_datapath(dp);
-        let mut replay = ReplayMemory::new(cfg.replay_capacity, cfg.window, cfg.input_dim());
-        for i in 0..cfg.replay_capacity as u64 {
-            let v = (i as f32 * 0.37).sin();
-            let s = [v, 1.0 - v, v * v, 0.5];
-            let id = replay.push(&s, (i % 5) as usize, &[]);
-            replay.set_next_state(id, &s);
-        }
+        let replay = full_replay(&cfg);
         group.bench_function(label, |b| b.iter(|| agent.train_once(&replay)));
     }
+    bench_fast_gemms(&mut group);
     group.finish();
+}
+
+/// A replay of `cfg`'s capacity in which every transition is valid.
+fn full_replay(cfg: &ResembleConfig) -> ReplayMemory {
+    let mut replay = ReplayMemory::new(cfg.replay_capacity, cfg.window, cfg.input_dim());
+    for i in 0..cfg.replay_capacity as u64 {
+        let v = (i as f32 * 0.37).sin();
+        let s = [v, 1.0 - v, v * v, 0.5];
+        let id = replay.push(&s, (i % 5) as usize, &[]);
+        replay.set_next_state(id, &s);
+    }
+    replay
+}
+
+/// Each kernel of one training step at the `ResembleConfig::fast()`
+/// shapes (4→100→5, batch 32): the two forward GEMMs, the two weight
+/// gradients, the whole backward pass and the optimizer step.
+fn bench_fast_gemms(group: &mut criterion::BenchmarkGroup<'_>) {
+    let cfg = ResembleConfig::fast();
+    let (s, h, a, b) = (
+        cfg.input_dim(),
+        cfg.hidden_dim,
+        cfg.action_dim,
+        cfg.batch_size,
+    );
+    let xs = Matrix::from_fn(b, s, |r, c| ((r * 7 + c) as f32 * 0.13).sin());
+    let hs = Matrix::from_fn(b, h, |r, c| ((r * 13 + c) as f32 * 0.19).sin().max(0.0));
+    let w1 = Matrix::from_fn(h, s, |r, c| ((r * 3 + c) as f32 * 0.07).cos());
+    let w2 = Matrix::from_fn(a, h, |r, c| ((r * 5 + c) as f32 * 0.11).sin());
+    let mut y1 = Matrix::zeros(b, h);
+    let mut y2 = Matrix::zeros(b, a);
+    group.bench_function("fast32/gemm_4x100", |bn| {
+        bn.iter(|| w1.matmul_into(black_box(&xs), &mut y1))
+    });
+    group.bench_function("fast32/gemm_100x5", |bn| {
+        bn.iter(|| w2.matmul_into(black_box(&hs), &mut y2))
+    });
+    // One-hot deltas, like the TD error; ReLU-sparse hidden deltas.
+    let d2 = Matrix::from_fn(b, a, |r, c| if c == r % a { 0.3 } else { 0.0 });
+    let d1 = Matrix::from_fn(b, h, |r, c| {
+        if (r + c) % 3 == 0 {
+            0.0
+        } else {
+            ((r * 7 + c) as f32 * 0.3).sin()
+        }
+    });
+    let mut g2 = Matrix::zeros(a, h);
+    let mut g1t = Matrix::zeros(s, h);
+    group.bench_function("fast32/grad_5x100", |bn| {
+        bn.iter(|| g2.add_outer_batch(1.0, black_box(&d2), &hs))
+    });
+    group.bench_function("fast32/grad_100x4", |bn| {
+        bn.iter(|| g1t.add_outer_batch_t(1.0, black_box(&d1), &xs))
+    });
+    let mut net = Mlp::new(&[s, h, a], Activation::Relu, 1);
+    let mut scratch = net.make_batch_scratch(b);
+    let mut grads = net.make_grad_buffer();
+    net.forward_batch(&xs, &mut scratch);
+    group.bench_function("fast32/backward", |bn| {
+        bn.iter(|| net.backward_batch(&mut scratch, black_box(&d2), &mut grads))
+    });
+    let mut opt = Sgd::new(1e-6);
+    group.bench_function("fast32/apply_grads", |bn| {
+        bn.iter(|| {
+            grads.samples = b;
+            net.apply_grads(&mut grads, &mut opt)
+        })
+    });
 }
 
 fn bench_preprocess(c: &mut Criterion) {

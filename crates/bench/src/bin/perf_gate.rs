@@ -38,6 +38,10 @@
 //! both sides of each ratio see the same hardware and the ratio isolates
 //! the code, not the host.
 //!
+//! The kernel section also reports, ungated, one full `train_once` step
+//! at `ResembleConfig::fast()` (4→100→5, batch 32) per backend: the
+//! shapes the figure binaries train at.
+//!
 //! After the kernel section, a **parallel-sweep** section times the
 //! identical `run_matrix` workload serially (`jobs = 1`) and in parallel
 //! (auto worker count) on the `resemble-runtime` executor, and checks the
@@ -85,6 +89,7 @@
 //! [--min-matrix-speedup X]`
 
 use resemble_bench::{factory, report, runner, Options};
+use resemble_core::{DqnAgent, ReplayMemory, ResembleConfig};
 use resemble_nn::simd;
 use resemble_nn::{Activation, Matrix, Mlp};
 use resemble_runtime::{host_parallelism, resolve_jobs};
@@ -150,6 +155,10 @@ struct KernelReport {
     /// the wide lanes can't silently rot back to AVX2 rates — and so a
     /// host whose dispatch was overridden still measures the tier.
     avx512_speedup: f64,
+    /// Ungated: `DqnAgent::train_once` steps/s at `ResembleConfig::fast()`
+    /// (4→100→5, batch 32 — the shapes the figure binaries train at),
+    /// per backend, on a fully valid replay.
+    train_fast32: Vec<KernelBackendReport>,
 }
 
 /// The parallel-sweep section: the identical `run_matrix` workload timed
@@ -326,7 +335,45 @@ fn measure_kernels(reps: usize, steps: usize) -> KernelReport {
         backends,
         speedup,
         avx512_speedup,
+        train_fast32: measure_train_fast32(reps, steps),
     }
+}
+
+/// Time one full training step (`DqnAgent::train_once`: gather, target
+/// forward, policy forward, backward, optimizer) at the fast config once
+/// per available backend, interleaved and best-of like
+/// [`measure_kernels`]. Reported, not gated.
+fn measure_train_fast32(reps: usize, steps: usize) -> Vec<KernelBackendReport> {
+    let cfg = ResembleConfig::fast();
+    let mut replay = ReplayMemory::new(cfg.replay_capacity, cfg.window, cfg.input_dim());
+    for i in 0..cfg.replay_capacity as u64 {
+        let v = (i as f32 * 0.37).sin();
+        let id = replay.push(&[v, 1.0 - v, v * v, 0.5], (i % 5) as usize, &[]);
+        replay.set_next_state(id, &[0.5, v, 1.0 - v, v * v]);
+    }
+    let avail = simd::available();
+    let mut agents: Vec<DqnAgent> = avail.iter().map(|_| DqnAgent::new(cfg, 1)).collect();
+    let mut best = vec![f64::INFINITY; avail.len()];
+    for rep in 0..=reps.max(5) {
+        for ((&be, agent), best) in avail.iter().zip(&mut agents).zip(&mut best) {
+            let _guard = simd::force(be);
+            let t0 = Instant::now();
+            for _ in 0..steps {
+                agent.train_once(&replay);
+            }
+            if rep > 0 {
+                *best = best.min(t0.elapsed().as_secs_f64());
+            }
+        }
+    }
+    avail
+        .iter()
+        .zip(&best)
+        .map(|(be, dt)| KernelBackendReport {
+            backend: be.name().to_string(),
+            steps_per_sec: steps as f64 / dt,
+        })
+        .collect()
 }
 
 /// Time the identical `run_matrix` workload serially and in parallel.
@@ -785,6 +832,16 @@ fn main() {
             rep.kernel.sizes, rep.kernel.batch
         );
         println!("{}", kt.render());
+        let mut ft = Table::new(vec!["backend", "steps/s", "us/step"]);
+        for b in &rep.kernel.train_fast32 {
+            ft.row(vec![
+                b.backend.clone(),
+                format!("{:.0}", b.steps_per_sec),
+                format!("{:.2}", 1e6 / b.steps_per_sec),
+            ]);
+        }
+        println!("\ntraining step at the fast config (4->100->5, batch 32; reported, not gated):");
+        println!("{}", ft.render());
         println!(
             "kernel speedup (gated when dispatched != scalar): {:.2}x dispatched ({}) vs scalar (target >= {min_kernel_speedup:.2}x)",
             rep.kernel.speedup, rep.kernel.dispatched

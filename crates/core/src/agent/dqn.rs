@@ -58,7 +58,6 @@ pub struct DqnAgent {
     datapath: Datapath,
     // --- reusable minibatch gather buffers (allocation-free steady state) ---
     ids_buf: Vec<u64>,
-    batch_ids: Vec<u64>,
     actions_buf: Vec<usize>,
     targets_buf: Vec<f32>,
     batch_states: Matrix,
@@ -98,7 +97,6 @@ impl DqnAgent {
             step: 0,
             datapath: Datapath::default(),
             ids_buf: Vec::new(),
-            batch_ids: Vec::new(),
             actions_buf: Vec::new(),
             targets_buf: Vec::new(),
             batch_states: Matrix::default(),
@@ -350,30 +348,29 @@ impl DqnAgent {
         let gamma = self.cfg.gamma;
         let a_dim = self.cfg.action_dim;
         let dim = replay.state_dim();
-        // Gather the valid sampled transitions, preserving draw order so
-        // gradient accumulation matches the per-sample reference exactly.
-        self.batch_ids.clear();
+        // Gather the valid sampled transitions in one pass, preserving
+        // draw order so gradient accumulation matches the per-sample
+        // reference exactly.
         self.actions_buf.clear();
         self.targets_buf.clear();
-        for i in 0..self.ids_buf.len() {
-            let id = self.ids_buf[i];
+        let n = self.ids_buf.len();
+        self.batch_states.resize(n, dim);
+        self.batch_next.resize(n, dim);
+        for &id in &self.ids_buf {
             let Some(t) = replay.get(id) else { continue };
-            if let (Some(r), Some(_)) = (t.reward, t.next_state) {
-                self.batch_ids.push(id);
-                self.actions_buf.push(t.action);
-                self.targets_buf.push(r);
-            }
+            let (Some(r), Some(next)) = (t.reward, t.next_state) else {
+                continue;
+            };
+            let i = self.actions_buf.len();
+            self.batch_states.row_mut(i).copy_from_slice(t.state);
+            self.batch_next.row_mut(i).copy_from_slice(next);
+            self.actions_buf.push(t.action);
+            self.targets_buf.push(r);
         }
-        let b = self.batch_ids.len();
+        // Shrinking keeps the gathered leading rows.
+        let b = self.actions_buf.len();
         self.batch_states.resize(b, dim);
         self.batch_next.resize(b, dim);
-        for (i, &id) in self.batch_ids.iter().enumerate() {
-            let t = replay.get(id).expect("gathered id is live");
-            self.batch_states.row_mut(i).copy_from_slice(t.state);
-            self.batch_next
-                .row_mut(i)
-                .copy_from_slice(t.next_state.expect("gathered id is valid"));
-        }
         // y_j = r_j + γ max_a' MLP_t(s_{j+1}, a'), one batched forward.
         let q_next = self
             .target
@@ -470,15 +467,31 @@ mod tests {
     /// action 2 (NP) pays 0; state is noise. Drives `steps` iterations of
     /// select/push/train against a replay and returns the agent.
     fn run_synthetic(datapath: Datapath, steps: usize, seed: u64) -> DqnAgent {
-        let cfg = cfg2();
+        run_env(cfg2(), datapath, steps, seed)
+    }
+
+    /// [`run_synthetic`]'s environment for any configuration: action 0
+    /// pays +1, action 1 −1, the rest 0. Every third state feature is an
+    /// exact `0.0` on even steps, so the input-side zero skips are taken.
+    fn run_env(cfg: ResembleConfig, datapath: Datapath, steps: usize, seed: u64) -> DqnAgent {
+        let dim = cfg.input_dim();
         let mut agent = DqnAgent::new(cfg, seed);
         agent.set_datapath(datapath);
-        let mut replay = ReplayMemory::new(cfg.replay_capacity, cfg.window, 2);
+        let mut replay = ReplayMemory::new(cfg.replay_capacity, cfg.window, dim);
         let mut rng = StdRng::seed_from_u64(3);
         let mut prev: Option<u64> = None;
         let mut assigned = Vec::new();
-        for _ in 0..steps {
-            let s = [rng.gen::<f32>(), rng.gen::<f32>()];
+        for step in 0..steps {
+            let s: Vec<f32> = (0..dim)
+                .map(|i| {
+                    let v = rng.gen::<f32>();
+                    if step % 2 == 0 && i % 3 == 2 {
+                        0.0
+                    } else {
+                        v
+                    }
+                })
+                .collect();
             if let Some(p) = prev {
                 replay.set_next_state(p, &s);
             }
@@ -501,6 +514,10 @@ mod tests {
             agent.train_tick(&mut replay);
         }
         agent
+    }
+
+    fn param_bits(m: &Mlp) -> Vec<u32> {
+        m.flat_params().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -527,14 +544,36 @@ mod tests {
         let a = run_synthetic(Datapath::Batched, 600, 11);
         let b = run_synthetic(Datapath::PerSample, 600, 11);
         assert_eq!(a.train_steps, b.train_steps);
-        let bits = |m: &Mlp| {
-            m.flat_params()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&a.policy), bits(&b.policy));
-        assert_eq!(bits(&a.target), bits(&b.target));
+        assert_eq!(param_bits(&a.policy), param_bits(&b.policy));
+        assert_eq!(param_bits(&a.target), param_bits(&b.target));
+    }
+
+    #[test]
+    fn datapaths_agree_at_the_fast_config_on_every_backend() {
+        // The controller's real shapes (4→100→5, batch 32) through enough
+        // steps for several role switches, under every kernel backend
+        // this host runs.
+        let cfg = ResembleConfig::fast();
+        let steps = 10 * cfg.target_update_interval as usize;
+        let reference = run_env(cfg, Datapath::PerSample, steps, 21);
+        assert!(reference.role_switches >= 3, "{}", reference.role_switches);
+        assert!(reference.train_steps > 0);
+        for &be in resemble_nn::simd::available() {
+            let _guard = resemble_nn::simd::force(be);
+            let got = run_env(cfg, Datapath::Batched, steps, 21);
+            assert_eq!(got.train_steps, reference.train_steps, "{be}");
+            assert_eq!(got.role_switches, reference.role_switches, "{be}");
+            assert_eq!(
+                param_bits(&got.policy),
+                param_bits(&reference.policy),
+                "{be} policy"
+            );
+            assert_eq!(
+                param_bits(&got.target),
+                param_bits(&reference.target),
+                "{be} target"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Activation functions with their derivatives.
 
-use crate::matrix::Matrix;
-use crate::simd;
 use serde::{Deserialize, Serialize};
 
 /// Supported activation functions.
@@ -40,42 +38,6 @@ impl Activation {
                     *x = 1.0 / (1.0 + (-*x).exp());
                 }
             }
-        }
-    }
-
-    /// Apply the activation to a whole minibatch of layer outputs (one
-    /// row per sample) in a single pass over the flat row-major storage.
-    ///
-    /// Activations are elementwise, so the flat sweep computes exactly
-    /// the same unary operation per element as per-row [`Activation::apply`]
-    /// calls — bit-identical, but one loop instead of `B`. ReLU (the
-    /// paper's hidden-layer activation, i.e. the batched hot path)
-    /// dispatches to the [`crate::simd`] clamp kernel, which preserves
-    /// `-0.0`/NaN bit patterns exactly like the scalar branch; the libm
-    /// activations stay scalar.
-    pub fn apply_batch(self, xs: &mut Matrix) {
-        match self {
-            Activation::Relu => simd::relu(simd::active(), xs.as_mut_slice()),
-            _ => self.apply(xs.as_mut_slice()),
-        }
-    }
-
-    /// Batched in-place chain-rule step: `deltas[i] *= f'(ys[i])`, the
-    /// hidden-layer masking of minibatch backprop.
-    ///
-    /// Per element this performs exactly the multiply the per-sample path
-    /// performs (`d *= derivative_from_output(y)`), so results are
-    /// bit-identical — including `d * 0.0 = ±0.0` keeping `d`'s sign for
-    /// masked ReLU lanes. Identity skips the `* 1.0` sweep, which is
-    /// exact for every value f32 arithmetic can produce. The per-variant
-    /// kernels live in [`crate::simd`] and dispatch to the selected
-    /// backend.
-    pub fn mul_derivative_batch(self, deltas: &mut [f32], ys: &[f32]) {
-        match self {
-            Activation::Identity => {}
-            Activation::Relu => simd::relu_mask(simd::active(), deltas, ys),
-            Activation::Tanh => simd::tanh_mask(simd::active(), deltas, ys),
-            Activation::Sigmoid => simd::sigmoid_mask(simd::active(), deltas, ys),
         }
     }
 
@@ -141,53 +103,6 @@ mod tests {
                     (fd - an).abs() < 1e-2,
                     "{act:?} at {x}: fd={fd} analytic={an}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn apply_batch_matches_per_row_bitwise() {
-        for act in [
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            // black_box: the claim is that both paths perform the same
-            // runtime operation per element; constant inputs would let the
-            // compiler fold one path's libm calls at build time, which can
-            // differ from the runtime call by 1 ulp.
-            let mut batch = Matrix::from_fn(3, 4, |r, c| {
-                std::hint::black_box((r as f32 - 1.0) * (c as f32 + 0.3))
-            });
-            let rows: Vec<Vec<f32>> = (0..3).map(|r| batch.row(r).to_vec()).collect();
-            act.apply_batch(&mut batch);
-            for (r, mut row) in rows.into_iter().enumerate() {
-                act.apply(&mut row);
-                for (a, e) in batch.row(r).iter().zip(&row) {
-                    assert_eq!(a.to_bits(), e.to_bits(), "{act:?} row {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mul_derivative_batch_matches_scalar_bitwise() {
-        for act in [
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            let ys: Vec<f32> = vec![-2.0, -0.5, -0.0, 0.0, 0.3, 1.7, 42.0];
-            let mut batched: Vec<f32> = vec![-3.0, -1.0, -0.0, 0.0, 0.5, 2.0, -7.5];
-            let mut scalar = batched.clone();
-            act.mul_derivative_batch(&mut batched, &ys);
-            for (d, &y) in scalar.iter_mut().zip(&ys) {
-                *d *= act.derivative_from_output(y);
-            }
-            for (i, (b, s)) in batched.iter().zip(&scalar).enumerate() {
-                assert_eq!(b.to_bits(), s.to_bits(), "{act:?} elem {i}");
             }
         }
     }

@@ -1,7 +1,16 @@
 //! Row-major `f32` matrix with the small set of BLAS-like kernels the MLP
-//! needs. Kept dependency-free: the controller network is tiny (4→100→5),
-//! so straightforward loops with preallocated outputs are fast enough and
-//! faithful to a fixed-function hardware datapath.
+//! needs. Kept dependency-free: the controller network is tiny (4→100→5).
+//!
+//! Two families of kernels live here. The per-sample methods
+//! (`matvec_into`, `matvec_transpose_into`, `add_outer`, `add_outer_t`)
+//! are plain scalar loops faithful to a fixed-function hardware datapath
+//! and define the results. The minibatch methods (`matmul_into`,
+//! `add_outer_batch`, `add_outer_batch_t`) reproduce them bit for bit
+//! through [`crate::simd`]: at the controller's shapes (batch 32) they
+//! are bound by memory traffic, not arithmetic, so the vector tiers keep
+//! every accumulator in a register across its whole inner loop and
+//! never transpose a per-call activation or gradient (see the
+//! [`crate::simd`] module docs).
 
 use crate::align::AlignedVec;
 use crate::simd;
@@ -11,11 +20,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// Storage is an [`AlignedVec`], so the flat buffer (and with it every
 /// `BatchScratch` matrix) starts on a 64-byte boundary. The batched
-/// kernels (`matmul_into`, `matmul_transposed_into`, `add_outer_batch`)
+/// kernels (`matmul_into`, `add_outer_batch`, `add_outer_batch_t`)
 /// dispatch through [`crate::simd`] to the backend selected at startup;
 /// the per-sample methods (`matvec_into`, `matvec_transpose_into`,
-/// `add_outer`) deliberately stay scalar — they are the reference
-/// semantics the batched paths are measured and bit-checked against.
+/// `add_outer`, `add_outer_t`) deliberately stay scalar — they are the
+/// reference semantics the batched paths are measured and bit-checked
+/// against.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
@@ -153,9 +163,10 @@ impl Matrix {
     }
 
     /// Reshape in place, reusing the existing allocation. New elements are
-    /// zero; surviving elements are *not* preserved meaningfully (callers
-    /// overwrite the whole matrix after a resize). Steady-state callers
-    /// that resize to the same shape pay nothing.
+    /// zero and the flat storage keeps its prefix, so shrinking the row
+    /// count at a fixed column count keeps the leading rows; any other
+    /// reshape leaves surviving elements meaningless. Steady-state
+    /// callers that resize to the same shape pay nothing.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -170,157 +181,98 @@ impl Matrix {
     /// **bit-identical** to per-sample `matvec_into` (the determinism
     /// contract the DQN batched datapath relies on): SIMD across
     /// independent elements never reassociates a per-element sum, and
-    /// Rust does not contract `a += w * x` into an FMA. Two
-    /// shape-dependent strategies, both preserving that order:
-    ///
-    /// - **Wide output** (`rows ≥ 16`, e.g. the 4→100 layer): stage the
-    ///   weights transposed once and sweep each sample output-major —
-    ///   `y += x[k] · wtᵏ` — long contiguous axpy rows, no strided
-    ///   scatter.
-    /// - **Narrow output** (e.g. the 100→5 layer): stage the inputs
-    ///   transposed in batch tiles and sweep batch-lane-major —
-    ///   `acc[b] += w[k] · xt[k][b]` — the batch itself is the vector.
-    ///   Tiles keep the stage and the output scatter L1-resident.
+    /// Rust does not contract `a += w * x` into an FMA. The vector tiers
+    /// keep each accumulator in a register for its whole `k` loop against
+    /// zero-padded transposed weights, so a layer narrower than one
+    /// vector (the 100→5 output layer) is one vector of output lanes and
+    /// no per-call activation stage exists; see `crate::simd::gemm_nt`.
     pub fn matmul_into(&self, xs: &Matrix, ys: &mut Matrix) {
         assert_eq!(xs.cols, self.cols, "matmul: inner dimension");
         assert_eq!(ys.rows, xs.rows, "matmul: batch rows");
         assert_eq!(ys.cols, self.rows, "matmul: output cols");
-        let (c, r_dim, batch) = (self.cols, self.rows, xs.rows);
-        if batch == 0 || r_dim == 0 {
+        if xs.rows == 0 || self.rows == 0 {
             return;
         }
-        if c == 0 {
+        if self.cols == 0 {
             ys.data.fill(0.0);
             return;
         }
-        const TILE: usize = 64;
-        const WIDE_OUT: usize = 16;
-        let be = simd::active();
-        thread_local! {
-            static STAGE: std::cell::RefCell<(AlignedVec, AlignedVec)> =
-                const { std::cell::RefCell::new((AlignedVec::new(), AlignedVec::new())) };
-        }
-        STAGE.with(|stage| {
-            let (buf, acc) = &mut *stage.borrow_mut();
-            // Steady-state callers pay no allocation.
-            if r_dim >= WIDE_OUT {
-                // wt[k][r] = self[r][k], staged once per call.
-                buf.clear();
-                buf.resize(c * r_dim, 0.0);
-                for (r, row) in self.data.chunks_exact(c).enumerate() {
-                    for (k, &v) in row.iter().enumerate() {
-                        buf[k * r_dim + r] = v;
-                    }
-                }
-                for (xrow, yrow) in xs.data.chunks_exact(c).zip(ys.data.chunks_exact_mut(r_dim)) {
-                    simd::matvec_lanes(be, yrow, buf, xrow);
-                }
-                return;
-            }
-            acc.clear();
-            acc.resize(TILE.min(batch), 0.0);
-            let mut t0 = 0;
-            while t0 < batch {
-                let tl = TILE.min(batch - t0);
-                // xt[k][b] = xs[t0 + b][k] within the tile.
-                buf.clear();
-                buf.resize(c * tl, 0.0);
-                for b in 0..tl {
-                    let row = &xs.data[(t0 + b) * c..(t0 + b + 1) * c];
-                    for (k, &v) in row.iter().enumerate() {
-                        buf[k * tl + b] = v;
-                    }
-                }
-                for r in 0..r_dim {
-                    let wrow = &self.data[r * c..(r + 1) * c];
-                    let acc = &mut acc[..tl];
-                    acc.fill(0.0);
-                    simd::gemm_lanes(be, acc, wrow, &buf[..c * tl]);
-                    for (b, &a) in acc.iter().enumerate() {
-                        ys.data[(t0 + b) * r_dim + r] = a;
-                    }
-                }
-                t0 += tl;
-            }
-        });
-    }
-
-    /// Minibatch transposed GEMM: row `b` of `ys` is `selfᵀ · xs_b` — the
-    /// backprop delta propagation for a whole batch in one call.
-    ///
-    /// Runs the dispatched per-sample-row kernel
-    /// ([`crate::simd::matvec_t_sample`]), which keeps the exact-zero
-    /// sparsity skip (backprop deltas are mostly zero after ReLU masking
-    /// and single-action TD errors) and the per-element accumulation
-    /// order identical to [`Matrix::matvec_transpose_into`] — the vector
-    /// backends only spread each delta row's axpy across the independent
-    /// output columns.
-    pub fn matmul_transposed_into(&self, xs: &Matrix, ys: &mut Matrix) {
-        assert_eq!(xs.cols, self.rows, "matmul_t: inner dimension");
-        assert_eq!(ys.rows, xs.rows, "matmul_t: batch rows");
-        assert_eq!(ys.cols, self.cols, "matmul_t: output cols");
-        let (r_dim, c) = (self.rows, self.cols);
-        let be = simd::active();
-        for s in 0..xs.rows {
-            let x = &xs.data[s * r_dim..(s + 1) * r_dim];
-            let y = &mut ys.data[s * c..(s + 1) * c];
-            simd::matvec_t_sample(be, y, &self.data, x);
-        }
+        simd::gemm_nt(
+            simd::active(),
+            &mut ys.data,
+            &self.data,
+            &xs.data,
+            self.cols,
+            None,
+        );
     }
 
     /// Batched gradient accumulation `self += alpha · aᵀ b`: the
-    /// `deltaᵀ · acts` GEMM of a minibatch backward pass. Each element
-    /// receives its contributions in ascending sample order, so the
-    /// result is bit-identical to `B` sequential [`Matrix::add_outer`]
-    /// calls. Two shape-dependent strategies:
-    ///
-    /// - **Wide rows** (`cols ≥ 16`, e.g. the 5×100 output-layer
-    ///   gradient): per sample, sweep the delta entries row-major with
-    ///   the exact-zero skip — identical traversal to `add_outer`.
-    /// - **Narrow rows** (e.g. the 100×4 input-layer gradient):
-    ///   accumulate into a transposed stage so each sample becomes a few
-    ///   long axpy sweeps across the delta dimension instead of ~rows
-    ///   tiny branch-mispredicting ones; see `simd::outer_lanes_sample`
-    ///   for why the store layout and the moved sparsity skip are exact.
+    /// `deltaᵀ · acts` GEMM of a minibatch backward pass, for wide rows
+    /// (the 5×100 output-layer gradient). Per sample it sweeps the delta
+    /// entries row-major with the exact-zero skip — the traversal of
+    /// [`Matrix::add_outer`] — so each element receives its contributions
+    /// in ascending sample order, bit-identical to `B` sequential
+    /// `add_outer` calls.
     pub fn add_outer_batch(&mut self, alpha: f32, a: &Matrix, b: &Matrix) {
         assert_eq!(a.rows, b.rows, "add_outer_batch: batch rows");
         assert_eq!(a.cols, self.rows, "add_outer_batch: rows");
         assert_eq!(b.cols, self.cols, "add_outer_batch: cols");
-        let (rows, cols, batch) = (self.rows, self.cols, a.rows);
-        if batch == 0 || rows == 0 || cols == 0 {
+        if self.rows == 0 || self.cols == 0 {
             return;
         }
-        const WIDE_ROW: usize = 16;
         let be = simd::active();
-        if cols >= WIDE_ROW {
-            for (a_row, b_row) in a.data.chunks_exact(rows).zip(b.data.chunks_exact(cols)) {
-                simd::outer_rows_sample(be, &mut self.data, a_row, b_row, alpha);
-            }
+        for (a_row, b_row) in a.data.chunks_exact(a.cols).zip(b.data.chunks_exact(b.cols)) {
+            simd::outer_rows_sample(be, &mut self.data, a_row, b_row, alpha);
+        }
+    }
+
+    /// [`Matrix::add_outer_batch`] into a gradient held **transposed**:
+    /// `self` is `b.cols × a.cols` and `self[c][r] += alpha · a_r · b_c`
+    /// summed over samples — the narrow-row layout (the 100×4 input-layer
+    /// gradient), where each sample becomes a few long sweeps across the
+    /// delta dimension instead of ~`a.cols` tiny ones. Per element the
+    /// contributions arrive in sample order, bit-identical to sequential
+    /// [`Matrix::add_outer_t`] calls for finite operands and power-of-two
+    /// `alpha` (backprop passes 1): the kernel forms `(alpha · b_c) · a_r`
+    /// and skips exact-zero `b_c` instead, and an accumulation from
+    /// `+0.0` never reaches `-0.0`, so `x + ±0.0 == x` for every `x` it
+    /// can hold (see `crate::simd::outer_t`).
+    pub fn add_outer_batch_t(&mut self, alpha: f32, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.rows, b.rows, "add_outer_batch_t: batch rows");
+        assert_eq!(a.cols, self.cols, "add_outer_batch_t: rows");
+        assert_eq!(b.cols, self.rows, "add_outer_batch_t: cols");
+        if self.rows == 0 || self.cols == 0 || a.rows == 0 {
             return;
         }
-        thread_local! {
-            static STAGE: std::cell::RefCell<AlignedVec> =
-                const { std::cell::RefCell::new(AlignedVec::new()) };
+        simd::outer_t(
+            simd::active(),
+            &mut self.data,
+            &a.data,
+            &b.data,
+            alpha,
+            b.cols,
+        );
+    }
+
+    /// Per-sample rank-1 update into a transposed gradient: `self[c][r] +=
+    /// (alpha · a_r) · b_c`, skipping exact-zero `a_r` — the arithmetic of
+    /// [`Matrix::add_outer`] on the layout of
+    /// [`Matrix::add_outer_batch_t`].
+    pub fn add_outer_t(&mut self, alpha: f32, a: &[f32], b: &[f32]) {
+        assert_eq!(a.len(), self.cols);
+        assert_eq!(b.len(), self.rows);
+        let rows = self.cols;
+        for (r, &av) in a.iter().enumerate() {
+            // lint:allow(float-eq): exact-zero sparsity skip of `add_outer`; ReLU outputs are assigned 0.0 exactly, and a false negative only costs speed
+            if av == 0.0 {
+                continue;
+            }
+            let s = alpha * av;
+            for (c, &bv) in b.iter().enumerate() {
+                self.data[c * rows + r] += s * bv;
+            }
         }
-        STAGE.with(|stage| {
-            let dwt = &mut *stage.borrow_mut();
-            dwt.clear();
-            dwt.resize(rows * cols, 0.0);
-            // dwt[c][r] = self[r][c]
-            for (r, row) in self.data.chunks_exact(cols).enumerate() {
-                for (c, &v) in row.iter().enumerate() {
-                    dwt[c * rows + r] = v;
-                }
-            }
-            for (a_row, b_row) in a.data.chunks_exact(rows).zip(b.data.chunks_exact(cols)) {
-                simd::outer_lanes_sample(be, dwt, a_row, b_row, alpha);
-            }
-            for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = dwt[c * rows + r];
-                }
-            }
-        });
     }
 
     /// Elementwise `self += alpha * other`.
@@ -427,22 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transposed_matches_per_sample_bitwise() {
-        let w = Matrix::from_fn(4, 6, |r, c| (r as f32 - c as f32) * 0.21);
-        // Include exact zeros to exercise the sparsity skip.
-        let xs = Matrix::from_fn(5, 4, |r, c| if (r + c) % 3 == 0 { 0.0 } else { 0.3 });
-        let mut batched = Matrix::zeros(5, 6);
-        w.matmul_transposed_into(&xs, &mut batched);
-        let mut single = vec![0.0f32; 6];
-        for b in 0..5 {
-            w.matvec_transpose_into(xs.row(b), &mut single);
-            for (a, e) in batched.row(b).iter().zip(&single) {
-                assert_eq!(a.to_bits(), e.to_bits(), "row {b}");
-            }
-        }
-    }
-
-    #[test]
     fn add_outer_batch_matches_sequential_bitwise() {
         let a = Matrix::from_fn(6, 3, |r, c| if c == r % 3 { 0.7 - r as f32 } else { 0.0 });
         let b = Matrix::from_fn(6, 4, |r, c| (r * 4 + c) as f32 * 0.11 - 1.0);
@@ -457,15 +393,60 @@ mod tests {
     }
 
     #[test]
+    fn add_outer_batch_t_matches_sequential_transposed_bitwise() {
+        // 37 delta rows: two full 16-lane tiles plus a tail; exact zeros
+        // in both operands exercise both skips.
+        let a = Matrix::from_fn(9, 37, |r, c| {
+            if (r + c) % 4 == 0 {
+                0.0
+            } else {
+                0.3 * c as f32 - r as f32
+            }
+        });
+        let b = Matrix::from_fn(9, 3, |r, c| {
+            if (r * 3 + c) % 5 == 0 {
+                0.0
+            } else {
+                (r + c) as f32 * 0.17 - 0.9
+            }
+        });
+        let mut batched = Matrix::zeros(3, 37);
+        let mut seq = Matrix::zeros(3, 37);
+        for _ in 0..2 {
+            batched.add_outer_batch_t(1.0, &a, &b);
+            for s in 0..9 {
+                seq.add_outer_t(1.0, a.row(s), b.row(s));
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batched), bits(&seq));
+        let mut row_major = Matrix::zeros(37, 3);
+        for _ in 0..2 {
+            for s in 0..9 {
+                row_major.add_outer(1.0, a.row(s), b.row(s));
+            }
+        }
+        for r in 0..37 {
+            for c in 0..3 {
+                assert_eq!(seq.get(c, r).to_bits(), row_major.get(r, c).to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn matmul_handles_empty_batch() {
         let w = Matrix::from_rows(2, 3, vec![1.0; 6]);
         let xs = Matrix::zeros(0, 3);
         let mut ys = Matrix::zeros(0, 2);
         w.matmul_into(&xs, &mut ys);
-        let mut yt = Matrix::zeros(0, 3);
-        let xt = Matrix::zeros(0, 2);
-        w.matmul_transposed_into(&xt, &mut yt);
-        assert!(ys.is_empty() && yt.is_empty());
+        assert!(ys.is_empty());
+    }
+
+    #[test]
+    fn shrinking_rows_keeps_leading_rows() {
+        let mut m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        m.resize(2, 3);
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]

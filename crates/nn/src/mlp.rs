@@ -15,6 +15,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Weight rows narrower than this keep their gradient transposed (see
+/// [`GradBuffer`]).
+const NARROW_ROW: usize = 16;
+
 /// One fully-connected layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Dense {
@@ -92,9 +96,18 @@ impl BatchScratch {
 }
 
 /// Accumulated parameter gradients matching an [`Mlp`]'s shape.
+///
+/// Layers whose weight rows are narrower than one kernel tile (the 100×4
+/// input layer) keep their weight gradient **transposed** (`cols × rows`)
+/// so the batched kernel accumulates long delta-dimension rows in
+/// registers; the per-sample path writes the same layout. The layout is
+/// private: [`GradBuffer::flat_sums`] and [`Mlp::apply_grads`] flatten
+/// in parameter order.
 #[derive(Debug, Clone)]
 pub struct GradBuffer {
     dw: Vec<Matrix>,
+    /// per layer: `dw` is held transposed
+    transposed: Vec<bool>,
     db: Vec<Vec<f32>>,
     /// Number of accumulated samples (for averaging).
     pub samples: usize,
@@ -180,12 +193,25 @@ impl Mlp {
 
     /// Prepare a gradient buffer matching this network.
     pub fn make_grad_buffer(&self) -> GradBuffer {
+        let transposed: Vec<bool> = self
+            .layers
+            .iter()
+            .map(|l| l.w.cols() < NARROW_ROW)
+            .collect();
         GradBuffer {
             dw: self
                 .layers
                 .iter()
-                .map(|l| Matrix::zeros(l.w.rows(), l.w.cols()))
+                .zip(&transposed)
+                .map(|(l, &t)| {
+                    if t {
+                        Matrix::zeros(l.w.cols(), l.w.rows())
+                    } else {
+                        Matrix::zeros(l.w.rows(), l.w.cols())
+                    }
+                })
                 .collect(),
+            transposed,
             db: self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
             samples: 0,
             params_buf: Vec::new(),
@@ -245,11 +271,12 @@ impl Mlp {
     }
 
     /// Minibatch forward pass: `xs` holds one input row per sample; the
-    /// returned matrix holds one Q-row per sample. One GEMM + one bias
-    /// sweep + one activation sweep per layer replaces `B` scalar
+    /// returned matrix holds one Q-row per sample. One fused kernel per
+    /// layer (GEMM, bias add and activation) replaces `B` scalar
     /// forwards, and every element is **bit-identical** to running
     /// [`Mlp::forward`] on the corresponding row (the kernels preserve
-    /// per-element accumulation order).
+    /// per-element accumulation order and apply the same bias add and
+    /// activation).
     pub fn forward_batch<'s>(&self, xs: &Matrix, scratch: &'s mut BatchScratch) -> &'s Matrix {
         assert_eq!(xs.cols(), self.sizes[0], "input dimension mismatch");
         scratch.ensure_shape(self, xs.rows());
@@ -262,9 +289,14 @@ impl Mlp {
                 let (a, b) = scratch.acts.split_at_mut(i + 1);
                 (&a[i], &mut b[0])
             };
-            layer.w.matmul_into(inp, out);
-            simd::add_bias_rows(be, out.as_mut_slice(), &layer.b);
-            layer.act.apply_batch(out);
+            simd::gemm_nt(
+                be,
+                out.as_mut_slice(),
+                layer.w.as_slice(),
+                inp.as_slice(),
+                inp.cols(),
+                Some((&layer.b, layer.act)),
+            );
         }
         scratch.acts.last().expect("network has layers")
     }
@@ -298,7 +330,11 @@ impl Mlp {
         for l in (0..n_layers).rev() {
             // Accumulate dW += delta ⊗ input, db += delta.
             let (delta, input) = (&scratch.deltas[l], &scratch.acts[l]);
-            grads.dw[l].add_outer(1.0, delta, input);
+            if grads.transposed[l] {
+                grads.dw[l].add_outer_t(1.0, delta, input);
+            } else {
+                grads.dw[l].add_outer(1.0, delta, input);
+            }
             for (g, d) in grads.db[l].iter_mut().zip(delta) {
                 *g += d;
             }
@@ -324,10 +360,12 @@ impl Mlp {
     /// `scratch`: `out_grads` holds one dL/d(output) row per sample.
     ///
     /// Per layer this takes one `deltaᵀ·acts` GEMM for the weight
-    /// gradients, one bias-column sweep, and one transposed GEMM for the
-    /// delta propagation — replacing `B` scalar backward passes while
-    /// accumulating every gradient element in sample order, so the
-    /// resulting [`GradBuffer`] is **bit-identical** to sequential
+    /// gradients, one bias-column sweep, and one fused step computing the
+    /// layer's delta (the output delta, for the top layer), propagating it
+    /// through `Wᵀ` with the exact-zero skip and applying the ReLU mask
+    /// below (`crate::simd::backprop`) — replacing `B` scalar backward
+    /// passes while accumulating every gradient element in sample order,
+    /// so the resulting [`GradBuffer`] is **bit-identical** to sequential
     /// [`Mlp::backward`] calls over the same rows.
     pub fn backward_batch(
         &self,
@@ -338,38 +376,42 @@ impl Mlp {
         let batch = scratch.batch;
         assert_eq!(out_grads.rows(), batch, "out_grads batch rows");
         assert_eq!(out_grads.cols(), self.output_dim(), "out_grads width");
-        let n_layers = self.layers.len();
-        // Output-layer delta: dL/dy * f'(y), elementwise over the batch.
-        {
-            let y = &scratch.acts[n_layers];
-            let delta = &mut scratch.deltas[n_layers - 1];
-            let act = self.layers[n_layers - 1].act;
-            for (d, (&g, &yv)) in delta
-                .as_mut_slice()
-                .iter_mut()
-                .zip(out_grads.as_slice().iter().zip(y.as_slice()))
-            {
-                *d = g * act.derivative_from_output(yv);
-            }
-        }
+        let top = self.layers.len() - 1;
         let be = simd::active();
-        for l in (0..n_layers).rev() {
+        let head = (
+            out_grads.as_slice(),
+            scratch.acts[top + 1].as_slice(),
+            self.layers[top].act,
+        );
+        if top == 0 {
+            simd::head_delta(scratch.deltas[0].as_mut_slice(), head.0, head.1, head.2);
+        }
+        for l in (0..=top).rev() {
+            if l > 0 {
+                // delta_l (top layer: from the out-grads), then
+                // delta_{l-1} = (Wᵀ delta_l) * f'(act_{l-1}), per sample.
+                let (lower, upper) = scratch.deltas.split_at_mut(l);
+                let prev = &mut lower[l - 1];
+                let cols = prev.cols();
+                simd::backprop(
+                    be,
+                    prev.as_mut_slice(),
+                    self.layers[l].w.as_slice(),
+                    upper[0].as_mut_slice(),
+                    (l == top).then_some(head),
+                    Some((scratch.acts[l].as_slice(), self.layers[l - 1].act)),
+                    cols,
+                );
+            }
             // dW += deltaᵀ · acts, db += column sums of delta — both
             // accumulated sample-major like the per-sample path.
             let (delta, input) = (&scratch.deltas[l], &scratch.acts[l]);
-            grads.dw[l].add_outer_batch(1.0, delta, input);
-            simd::sum_rows(be, &mut grads.db[l], delta.as_slice());
-            if l > 0 {
-                // delta_{l-1} = (Wᵀ delta) * f'(act_{l-1}), batched.
-                let (lower, upper) = scratch.deltas.split_at_mut(l);
-                let prev_delta = &mut lower[l - 1];
-                self.layers[l]
-                    .w
-                    .matmul_transposed_into(&upper[0], prev_delta);
-                self.layers[l - 1]
-                    .act
-                    .mul_derivative_batch(prev_delta.as_mut_slice(), scratch.acts[l].as_slice());
+            if grads.transposed[l] {
+                grads.dw[l].add_outer_batch_t(1.0, delta, input);
+            } else {
+                grads.dw[l].add_outer_batch(1.0, delta, input);
             }
+            simd::sum_rows(be, &mut grads.db[l], delta.as_slice());
         }
         grads.samples += batch;
     }
@@ -390,12 +432,11 @@ impl Mlp {
         flat_grads.clear();
         params.reserve(self.param_count());
         flat_grads.reserve(self.param_count());
-        for (l, (dw, db)) in self.layers.iter().zip(grads.dw.iter().zip(&grads.db)) {
+        for l in &self.layers {
             params.extend_from_slice(l.w.as_slice());
             params.extend_from_slice(&l.b);
-            flat_grads.extend(dw.as_slice().iter().map(|g| g * scale));
-            flat_grads.extend(db.iter().map(|g| g * scale));
         }
+        grads.extend_flat(&mut flat_grads, |g| g * scale);
         opt.step(&mut params, &flat_grads);
         self.load_flat(&params);
         grads.params_buf = params;
@@ -464,11 +505,29 @@ impl GradBuffer {
     /// Used by tests comparing batched and per-sample accumulation.
     pub fn flat_sums(&self) -> Vec<f32> {
         let mut out = Vec::new();
-        for (dw, db) in self.dw.iter().zip(&self.db) {
-            out.extend_from_slice(dw.as_slice());
-            out.extend_from_slice(db);
-        }
+        self.extend_flat(&mut out, |g| g);
         out
+    }
+
+    /// Append `f(sum)` for every accumulated sum in parameter order,
+    /// reading transposed weight gradients back in row-major order.
+    fn extend_flat(&self, out: &mut Vec<f32>, f: impl Fn(f32) -> f32 + Copy) {
+        for ((dw, &t), db) in self.dw.iter().zip(&self.transposed).zip(&self.db) {
+            if t {
+                let (cols, rows) = (dw.rows(), dw.cols());
+                let base = out.len();
+                out.resize(base + rows * cols, 0.0);
+                let dst = &mut out[base..];
+                for (c, col) in dw.as_slice().chunks_exact(rows).enumerate() {
+                    for (r, &g) in col.iter().enumerate() {
+                        dst[r * cols + c] = f(g);
+                    }
+                }
+            } else {
+                out.extend(dw.as_slice().iter().map(|&g| f(g)));
+            }
+            out.extend(db.iter().map(|&g| f(g)));
+        }
     }
 }
 
@@ -500,12 +559,8 @@ mod tests {
         let y = net.forward(&x, &mut scratch).to_vec();
         let out_grad: Vec<f32> = y.iter().zip(&t).map(|(a, b)| a - b).collect();
         net.backward(&mut scratch, &out_grad, &mut grads);
-        // Flatten analytic grads in the same order as flat_params.
-        let mut analytic = Vec::new();
-        for (dw, db) in grads.dw.iter().zip(&grads.db) {
-            analytic.extend_from_slice(dw.as_slice());
-            analytic.extend_from_slice(db);
-        }
+        // Analytic grads in the same order as flat_params.
+        let analytic = grads.flat_sums();
         let loss = |net: &Mlp| -> f32 {
             let y = net.predict(&x);
             0.5 * y

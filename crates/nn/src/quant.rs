@@ -145,8 +145,8 @@ fn dequantize_rows(
 /// `fan_out >= LANES_MIN_FAN_OUT` get a second, pair-interleaved weight
 /// copy for [`simd::gemm_i8p_lanes`]: with a tiny fan-in the dot-product
 /// GEMM runs entirely in its scalar tail, while the lanes form
-/// vectorizes across the wide fan-out the way the f32 `matvec_lanes`
-/// kernel does. Both forms are exact in i32, so which one runs never
+/// vectorizes across the wide fan-out the way the f32 forward kernel
+/// vectorizes across output lanes. Both forms are exact in i32, so which one runs never
 /// changes a byte — only how fast it is produced.
 const LANES_MAX_FAN_IN: usize = 64;
 /// See [`LANES_MAX_FAN_IN`].

@@ -1,45 +1,77 @@
 //! Runtime-dispatched SIMD kernels for the batched controller datapath,
 //! bit-identical across backends *by construction*.
 //!
-//! Every batched kernel in this crate funnels through this module. Five
-//! backends implement each kernel: explicit AVX-512 (16-lane), AVX2
-//! (8-lane), and SSE2 (4-lane) `std::arch` intrinsics on x86-64, NEON
-//! (4-lane) intrinsics on aarch64, and the portable scalar code (the
-//! former `matrix.rs` / `mlp.rs` / `activation.rs` loops, moved here
-//! verbatim). The backend is chosen once at startup by [`dispatched`]
-//! via runtime feature detection, overridable with
+//! Every batched kernel in this crate funnels through this module. The
+//! backend is chosen once at startup by `dispatched` via runtime
+//! feature detection, overridable with
 //! `RESEMBLE_SIMD={avx512,avx2,sse2,neon,scalar}`; tests and benches can
-//! pin a backend per thread with [`force`].
+//! pin a backend per thread with `force`. Five backends implement each
+//! kernel: AVX-512 (16-lane), AVX2 (8-lane) and SSE2 (4-lane) on x86-64,
+//! NEON (4-lane) on aarch64, and the portable scalar tier.
+//!
+//! # The f32 training and inference kernels
+//!
+//! The controller trains a 4→100→5 MLP on minibatches of 32, so no
+//! GEMM it runs is compute-bound: what costs is moving accumulators and
+//! activations through memory. The three batched GEMMs are therefore
+//! **register-tiled** on the vector tiers (`tile`):
+//!
+//! - **Forward** (`gemm_nt`): the weights are staged transposed with
+//!   the output dimension zero-padded to 16-lane tiles, so the narrow
+//!   100→5 layer is one vector of output lanes and the wide 4→100 layer
+//!   seven. Four samples share each weight-tile load; each accumulator
+//!   stays in a register for its whole `k` loop; the bias add and ReLU
+//!   run on the registers before the only store.
+//! - **Narrow-row weight gradient** (`outer_t`, the 100×4 input
+//!   layer): the gradient is held transposed inside `GradBuffer`, so a
+//!   span of 64 delta-dimension lanes accumulates over the whole batch in
+//!   registers.
+//! - **Backward step** (`backprop`): per sample, the output delta,
+//!   the `Wᵀ·delta` propagation (one nonzero entry for a single-action TD
+//!   error) and the ReLU mask of the layer below, fused into one pass.
+//!
+//! No kernel transposes a per-call activation or gradient. Each kernel
+//! is written once as portable Rust over fixed-size accumulator arrays
+//! and instantiated per tier by a thin `#[target_feature]` wrapper that
+//! inlines it, so LLVM lowers the arrays to that tier's registers. The
+//! **scalar tier** keeps the original staged sweeps over the unchanged
+//! `scalar` kernels (`staged`): it is the yardstick the vector tiers
+//! are measured and bit-checked against. The wide-row weight gradient,
+//! bias-gradient row sums and the standalone ReLU keep their per-row
+//! vector loops (`outer_rows_sample`, `sum_rows`, `relu`).
 //!
 //! # Bit-identity by construction
 //!
 //! The repo's determinism gates compare f32 results bitwise, so the
 //! vector paths must produce *byte-identical* output to the scalar
-//! fallback — not merely close. That is guaranteed structurally, never
-//! by tolerance:
+//! tier and to the per-sample path — not merely close. That is
+//! guaranteed structurally, never by tolerance:
 //!
 //! - **One accumulator per output element.** Vectorization is only
 //!   across independent output elements / batch lanes; no per-element
 //!   sum is ever split across vector lanes, so there are no horizontal
 //!   reductions and no reassociation.
 //! - **Inner dimension in ascending scalar order per lane.** Each lane
-//!   walks `k = 0, 1, 2, …` exactly like the scalar loop.
-//! - **Non-fused `mul` + `add` only.** No FMA intrinsics anywhere (and
-//!   Rust never contracts `a + w * x` on its own), so each lane performs
-//!   the same two IEEE-754 rounding steps as the scalar code, in the
-//!   same operand order.
-//! - **Scalar tails run the identical per-element expressions.** Slice
-//!   lengths that are not a multiple of the vector width fall through to
-//!   the same scalar statements the fallback uses.
+//!   walks `k = 0, 1, 2, …` from the same start value exactly like the
+//!   scalar loop, with the same exact-zero skips.
+//! - **Non-fused `mul` + `add` only.** No FMA anywhere (Rust never
+//!   contracts `a + w * x` on its own, and no intrinsic asks for it), so
+//!   each lane performs the same two IEEE-754 rounding steps as the
+//!   scalar code, in the same operand order.
+//! - **Padding never reaches a result.** Zero-padded weight lanes and
+//!   lanes loaded past a row's end feed only outputs that are never
+//!   kept (see [`tile`]).
 //! - **Compares and selects are bit-exact.** ReLU clamps through
-//!   `andnot(x < 0, x)` rather than `max(0, x)`, preserving `-0.0` and
-//!   NaN exactly like the scalar `if *x < 0.0 { *x = 0.0 }`; derivative
-//!   masks multiply by an `and`-selected `{0.0, 1.0}`, reproducing the
-//!   scalar `d * 0.0` / `d * 1.0` including the sign of a `±0.0` result.
+//!   `andnot(x < 0, x)` (or the scalar `if x < 0.0 { x = 0.0 }` the
+//!   tiled kernels compile to a select) rather than `max(0, x)`,
+//!   preserving `-0.0` and NaN exactly; derivative masks multiply by a
+//!   selected `{0.0, 1.0}`, reproducing the scalar `d * 0.0` / `d * 1.0`
+//!   including the sign of a `±0.0` result.
 //!
-//! Consequently AVX2, SSE2, and scalar agree bit-for-bit on every input,
-//! which the backend-sweep proptest (`crates/nn/tests/backend_sweep.rs`)
-//! and this module's unit tests pin.
+//! Consequently every tier agrees bit-for-bit on every input, which the
+//! backend-sweep tests (`crates/nn/tests/backend_sweep.rs`, against the
+//! per-sample path) and this module's unit tests (against the scalar
+//! tier) pin.
 //!
 //! # Int8 kernels: exactness, not order
 //!
@@ -103,7 +135,9 @@
 //! The `simd-outside-kernel` lint rule keeps all `std::arch` usage inside
 //! this file; add new kernels here (see CONTRIBUTING.md).
 
-use std::cell::Cell;
+use crate::activation::Activation;
+use crate::align::AlignedVec;
+use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
 
 /// Environment variable that overrides backend selection
@@ -431,13 +465,18 @@ impl Drop for BackendGuard {
     }
 }
 
-/// Route one kernel call to the backend's implementation.
+/// Route one kernel call to the backend's implementation. The second
+/// form names the scalar-tier function explicitly, for entry points whose
+/// scalar tier lives outside [`scalar`] (see [`staged`]).
 ///
-/// SAFETY: the `Avx2`/`Sse2` arms call `#[target_feature]` functions;
-/// this is sound because of the module invariant that those variants only
-/// reach the wrappers after runtime detection (see [`KernelBackend`]).
+/// SAFETY: the vector arms call `#[target_feature]` functions; this is
+/// sound because of the module invariant that those variants only reach
+/// the wrappers after runtime detection (see [`KernelBackend`]).
 macro_rules! dispatch {
     ($be:expr, $name:ident ( $($arg:expr),* $(,)? )) => {
+        dispatch!($be, $name($($arg),*) else scalar::$name)
+    };
+    ($be:expr, $name:ident ( $($arg:expr),* $(,)? ) else $fallback:path) => {
         match $be {
             // SAFETY: this arm is reached only when runtime detection
             // produced `Avx512` (module invariant — see `KernelBackend`),
@@ -457,30 +496,95 @@ macro_rules! dispatch {
             // on aarch64, where NEON is architecturally baseline.
             #[cfg(target_arch = "aarch64")]
             KernelBackend::Neon => unsafe { neon::$name($($arg),*) },
-            _ => scalar::$name($($arg),*),
+            _ => $fallback($($arg),*),
         }
     };
 }
 
-/// Batch-lane dot sweep: `acc[b] += Σ_k wrow[k] · xt[k·tl + b]` with `k`
-/// strictly ascending per lane, `tl = acc.len()`.
-pub(crate) fn gemm_lanes(be: KernelBackend, acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
-    dispatch!(be, gemm_lanes(acc, wrow, xt));
+/// A dense layer's epilogue: `(bias, f)` turning each GEMM output `y`
+/// into `f(y + bias[o])`.
+pub(crate) type Epilogue<'a> = (&'a [f32], Activation);
+
+/// Minibatch forward GEMM `ys = xs · wᵀ`: `ys[s·r + o] = Σ_k w[o·c + k] ·
+/// xs[s·c + k]` with `k` ascending from `+0.0` per element — the
+/// accumulation of `Matrix::matvec_into`, for every sample row — then,
+/// with an `epi`logue, `f(ys + bias)`: the bias add and activation of
+/// `Mlp::forward`. `c` is the inner dimension (> 0); `r = w.len() / c`.
+/// The vector tiers stage the weights zero-padded and transposed, keep
+/// every accumulator in a register for its whole `k` loop and apply the
+/// epilogue before the only store ([`tile::gemm_nt`]).
+pub(crate) fn gemm_nt(
+    be: KernelBackend,
+    ys: &mut [f32],
+    w: &[f32],
+    xs: &[f32],
+    c: usize,
+    epi: Option<Epilogue<'_>>,
+) {
+    thread_local! {
+        static STAGE: RefCell<AlignedVec> = const { RefCell::new(AlignedVec::new()) };
+    }
+    STAGE.with(|stage| {
+        // Steady-state callers pay no allocation.
+        let stage = &mut *stage.borrow_mut();
+        dispatch!(be, gemm_nt(ys, w, xs, c, epi, stage) else staged::gemm_nt)
+    });
 }
 
-/// Output-major matvec against a transposed weight stage: `y[r] = Σ_k
-/// wt[k·r_dim + r] · x[k]`, `k` ascending per element — the exact
-/// accumulation sequence of `Matrix::matvec_into`, vectorized across the
-/// output dimension.
-pub(crate) fn matvec_lanes(be: KernelBackend, y: &mut [f32], wt: &[f32], x: &[f32]) {
-    dispatch!(be, matvec_lanes(y, wt, x));
+/// Narrow-row minibatch gradient `dwt[j·r + i] += Σ_s alpha · b[s·c + j]
+/// · a[s·r + i]` into a gradient held *transposed* (`c` rows of `r`),
+/// each element receiving its contributions in sample order with the
+/// exact-zero `b` skip — per sample, the arithmetic of
+/// [`scalar::outer_lanes_sample`]. `c` (> 0) is the width of `b`'s rows.
+pub(crate) fn outer_t(
+    be: KernelBackend,
+    dwt: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    alpha: f32,
+    c: usize,
+) {
+    dispatch!(be, outer_t(dwt, a, b, alpha, c) else staged::outer_t)
 }
 
-/// One sample of the transposed matvec `y[c] = Σ_r w[r·cols + c] · x[r]`
-/// with the exact-zero `x[r]` skip — the body of
-/// `Matrix::matvec_transpose_into`, vectorized across the output columns.
-pub(crate) fn matvec_t_sample(be: KernelBackend, y: &mut [f32], w: &[f32], x: &[f32]) {
-    dispatch!(be, matvec_t_sample(y, w, x));
+/// The output-layer delta of a backward pass: `(dL/dy, y, f)` feeding
+/// `delta = dL/dy · f'(y)`.
+pub(crate) type Head<'a> = (&'a [f32], &'a [f32], Activation);
+
+/// The chain-rule mask of the layer below: `(y, f)` feeding `prev *=
+/// f'(y)`.
+pub(crate) type Mask<'a> = (&'a [f32], Activation);
+
+/// `delta = dL/dy · f'(y)` elementwise (any number of rows) — the
+/// output-layer delta of both the per-sample and the batched backward.
+pub(crate) fn head_delta(delta: &mut [f32], og: &[f32], y: &[f32], act: Activation) {
+    for (d, (&g, &yv)) in delta.iter_mut().zip(og.iter().zip(y)) {
+        *d = g * act.derivative_from_output(yv);
+    }
+}
+
+/// One backward step of a dense layer for a whole minibatch, fused per
+/// sample: when `head` is given, first write this layer's output delta
+/// ([`head_delta`]); then propagate `prev[s·c + j] = Σ_i w[i·c + j] ·
+/// delta[s·r + i]` (`i` ascending from `+0.0`, exact-zero `delta` skip —
+/// [`scalar::matvec_t_sample`]) and apply the layer below's `mask` (the
+/// `mask` kernels' expressions). `c` (> 0) is the width of `prev`'s rows.
+pub(crate) fn backprop(
+    be: KernelBackend,
+    prev: &mut [f32],
+    w: &[f32],
+    delta: &mut [f32],
+    head: Option<Head<'_>>,
+    mask: Option<Mask<'_>>,
+    c: usize,
+) {
+    thread_local! {
+        static STAGE: RefCell<AlignedVec> = const { RefCell::new(AlignedVec::new()) };
+    }
+    STAGE.with(|stage| {
+        let stage = &mut *stage.borrow_mut();
+        dispatch!(be, backprop(prev, w, delta, head, mask, c, stage) else staged::backprop)
+    });
 }
 
 /// One sample of `dw += alpha · a ⊗ b`, row-major with the exact-zero
@@ -495,25 +599,6 @@ pub(crate) fn outer_rows_sample(
     dispatch!(be, outer_rows_sample(dw, a_row, b_row, alpha));
 }
 
-/// One sample of `dwt += alpha · b ⊗ a` into a *transposed* gradient
-/// stage, vectorized across the `a` dimension (see
-/// `Matrix::add_outer_batch` for the bit-identity argument).
-pub(crate) fn outer_lanes_sample(
-    be: KernelBackend,
-    dwt: &mut [f32],
-    a_row: &[f32],
-    b_row: &[f32],
-    alpha: f32,
-) {
-    dispatch!(be, outer_lanes_sample(dwt, a_row, b_row, alpha));
-}
-
-/// `out[s·n + i] += bias[i]` for every sample row `s` — the batched bias
-/// add of a dense layer.
-pub(crate) fn add_bias_rows(be: KernelBackend, out: &mut [f32], bias: &[f32]) {
-    dispatch!(be, add_bias_rows(out, bias));
-}
-
 /// `acc[i] += Σ_s rows[s·n + i]`, sample-major — the batched
 /// bias-gradient column sums, accumulating each element in sample order.
 pub(crate) fn sum_rows(be: KernelBackend, acc: &mut [f32], rows: &[f32]) {
@@ -524,21 +609,6 @@ pub(crate) fn sum_rows(be: KernelBackend, acc: &mut [f32], rows: &[f32]) {
 /// preserving `-0.0` and NaN exactly like the scalar clamp.
 pub(crate) fn relu(be: KernelBackend, xs: &mut [f32]) {
     dispatch!(be, relu(xs));
-}
-
-/// Batched ReLU chain-rule mask: `d *= if y > 0.0 { 1.0 } else { 0.0 }`.
-pub(crate) fn relu_mask(be: KernelBackend, deltas: &mut [f32], ys: &[f32]) {
-    dispatch!(be, relu_mask(deltas, ys));
-}
-
-/// Batched tanh chain-rule step: `d *= 1.0 - y·y`.
-pub(crate) fn tanh_mask(be: KernelBackend, deltas: &mut [f32], ys: &[f32]) {
-    dispatch!(be, tanh_mask(deltas, ys));
-}
-
-/// Batched sigmoid chain-rule step: `d *= y · (1.0 - y)`.
-pub(crate) fn sigmoid_mask(be: KernelBackend, deltas: &mut [f32], ys: &[f32]) {
-    dispatch!(be, sigmoid_mask(deltas, ys));
 }
 
 /// Int8 GEMM with exact i32 accumulation: `acc[r·cols + c] = Σ_k
@@ -1029,21 +1099,511 @@ mod scalar {
     }
 }
 
+/// The scalar tier of the register-tiled entry points: the original
+/// staged sweeps over the unchanged [`scalar`] kernels. They are the
+/// yardstick the vector tiers are measured and bit-checked against, so
+/// they keep the per-call transposed stages the vector tiers avoid.
+mod staged {
+    use super::{head_delta, scalar, Epilogue, Head, Mask};
+    use crate::activation::Activation;
+    use crate::align::AlignedVec;
+
+    /// See [`super::gemm_nt`]. Wide outputs (`r ≥ 16`) stage the weights
+    /// transposed and sweep each sample output-major; narrow outputs
+    /// stage the inputs transposed in 64-row tiles and sweep
+    /// batch-lane-major, the batch itself being the vector. The epilogue
+    /// is one bias sweep and one activation sweep.
+    pub(super) fn gemm_nt(
+        ys: &mut [f32],
+        w: &[f32],
+        xs: &[f32],
+        c: usize,
+        epi: Option<Epilogue<'_>>,
+        buf: &mut AlignedVec,
+    ) {
+        gemm(ys, w, xs, c, buf);
+        if let Some((bias, act)) = epi {
+            scalar::add_bias_rows(ys, bias);
+            match act {
+                Activation::Relu => scalar::relu(ys),
+                _ => act.apply(ys),
+            }
+        }
+    }
+
+    fn gemm(ys: &mut [f32], w: &[f32], xs: &[f32], c: usize, buf: &mut AlignedVec) {
+        const TILE: usize = 64;
+        const WIDE_OUT: usize = 16;
+        let (r_dim, batch) = (w.len() / c, xs.len() / c);
+        if r_dim >= WIDE_OUT {
+            // wt[k][r] = w[r][k], staged once per call.
+            buf.clear();
+            buf.resize(c * r_dim, 0.0);
+            for (r, row) in w.chunks_exact(c).enumerate() {
+                for (k, &v) in row.iter().enumerate() {
+                    buf[k * r_dim + r] = v;
+                }
+            }
+            for (xrow, yrow) in xs.chunks_exact(c).zip(ys.chunks_exact_mut(r_dim)) {
+                scalar::matvec_lanes(yrow, buf, xrow);
+            }
+            return;
+        }
+        let mut acc = [0.0f32; TILE];
+        let mut t0 = 0;
+        while t0 < batch {
+            let tl = TILE.min(batch - t0);
+            // xt[k][b] = xs[t0 + b][k] within the tile.
+            buf.clear();
+            buf.resize(c * tl, 0.0);
+            for b in 0..tl {
+                let row = &xs[(t0 + b) * c..(t0 + b + 1) * c];
+                for (k, &v) in row.iter().enumerate() {
+                    buf[k * tl + b] = v;
+                }
+            }
+            for (r, wrow) in w.chunks_exact(c).enumerate() {
+                let acc = &mut acc[..tl];
+                acc.fill(0.0);
+                scalar::gemm_lanes(acc, wrow, &buf[..c * tl]);
+                for (b, &a) in acc.iter().enumerate() {
+                    ys[(t0 + b) * r_dim + r] = a;
+                }
+            }
+            t0 += tl;
+        }
+    }
+
+    /// See [`super::outer_t`]: one [`scalar::outer_lanes_sample`] per
+    /// sample.
+    pub(super) fn outer_t(dwt: &mut [f32], a: &[f32], b: &[f32], alpha: f32, c: usize) {
+        let r_dim = dwt.len() / c;
+        if r_dim == 0 {
+            return;
+        }
+        for (a_row, b_row) in a.chunks_exact(r_dim).zip(b.chunks_exact(c)) {
+            scalar::outer_lanes_sample(dwt, a_row, b_row, alpha);
+        }
+    }
+
+    /// See [`super::backprop`]: the head delta over the whole batch, one
+    /// [`scalar::matvec_t_sample`] per sample, then one mask sweep.
+    pub(super) fn backprop(
+        prev: &mut [f32],
+        w: &[f32],
+        delta: &mut [f32],
+        head: Option<Head<'_>>,
+        mask: Option<Mask<'_>>,
+        c: usize,
+        _stage: &mut AlignedVec,
+    ) {
+        if let Some((og, y, act)) = head {
+            head_delta(delta, og, y, act);
+        }
+        let r_dim = w.len() / c;
+        if r_dim == 0 {
+            prev.fill(0.0);
+        } else {
+            for (y, x) in prev.chunks_exact_mut(c).zip(delta.chunks_exact(r_dim)) {
+                scalar::matvec_t_sample(y, w, x);
+            }
+        }
+        match mask {
+            Some((ys, Activation::Relu)) => scalar::relu_mask(prev, ys),
+            Some((ys, Activation::Tanh)) => scalar::tanh_mask(prev, ys),
+            Some((ys, Activation::Sigmoid)) => scalar::sigmoid_mask(prev, ys),
+            Some((_, Activation::Identity)) | None => {}
+        }
+    }
+}
+
+/// Register-tiled f32 kernels, written once as portable Rust over
+/// fixed-size accumulator arrays and instantiated per vector tier: each
+/// kernel set's thin `#[target_feature]` wrapper inlines these bodies,
+/// so LLVM lowers every `[f32; LANES]` tile to that tier's registers
+/// (one zmm, two ymm, or four xmm/NEON q registers).
+///
+/// Every output element owns one accumulator lane that stays in a
+/// register for its whole inner-dimension loop, several tiles or samples
+/// are in flight per loop, and no kernel transposes a per-call activation
+/// or gradient. Per element the arithmetic is the scalar tier's: inner
+/// index ascending from the same start, separate `*` then `+` in the
+/// same operand order, the same exact-zero skips, the same mask
+/// expressions.
+///
+/// Rows are rarely a whole number of tiles (the hidden layer is 100
+/// wide), so tiles are addressed in whole matrices:
+///
+/// - A **load** that runs past a row's end reads the start of the next
+///   row. Those lanes belong to outputs past the row's end; they are
+///   computed and never kept.
+/// - A **store** into a write-only output ([`gemm_nt`], [`backprop`])
+///   writes the whole tile, spilling junk lanes into the start of the
+///   next row, and the kernels order their stores so that the next
+///   row's own tiles overwrite that junk afterwards: each row's tiles go
+///   out after those of every earlier row, and [`gemm_nt`] stores a
+///   block's tiles from the last to the first. Accumulated gradients
+///   ([`outer_t`]) are read back, so their stores stop at the row's end.
+/// - Only rows whose tiles reach past the end of the whole matrix take
+///   the clipped accessors (`CLIP = true`: zero-filled loads, clipped
+///   stores, out of line); every other access is a plain vector move.
+mod tile {
+    use super::{head_delta, Epilogue, Head, Mask};
+    use crate::activation::Activation;
+    use crate::align::AlignedVec;
+
+    /// Accumulator lanes per tile: one AVX-512 vector.
+    const LANES: usize = 16;
+    /// Tiles in flight along one row (gradients, backprop).
+    const GROUP: usize = 4;
+    /// Samples in flight per output tile (forward).
+    const SAMPLES: usize = 4;
+    /// Floats covered by one group of tiles.
+    const SPAN: usize = GROUP * LANES;
+
+    type Span = [f32; SPAN];
+
+    /// `acc[l] += a · x[l]` over a span: the scalar kernels' `+= w * x`
+    /// with the scalar operand first (gradient rows, `outer_t`).
+    #[inline(always)]
+    fn madd_sx(acc: &mut Span, a: f32, x: &Span) {
+        for (acc, &xl) in acc.iter_mut().zip(x) {
+            *acc += a * xl;
+        }
+    }
+
+    /// `acc[l] += w[l] · x` over a span, the weight operand first
+    /// (`matvec_t_sample`'s `*yc += wv * xv`).
+    #[inline(always)]
+    fn madd_xs(acc: &mut Span, w: &Span, x: f32) {
+        for (acc, &wl) in acc.iter_mut().zip(w) {
+            *acc += wl * x;
+        }
+    }
+
+    /// `src[off..off + N]` as an array; with `CLIP`, copied into `pad`
+    /// and zero past the end of `src`.
+    #[inline(always)]
+    fn read<'a, const N: usize, const CLIP: bool>(
+        src: &'a [f32],
+        off: usize,
+        pad: &'a mut [f32; N],
+    ) -> &'a [f32; N] {
+        if CLIP {
+            read_clipped(src, off, pad);
+            return pad;
+        }
+        match <&[f32; N]>::try_from(&src[off..off + N]) {
+            Ok(full) => full,
+            Err(_) => pad,
+        }
+    }
+
+    #[inline(never)]
+    fn read_clipped(src: &[f32], off: usize, pad: &mut [f32]) {
+        pad.fill(0.0);
+        for (d, &v) in pad.iter_mut().zip(src.get(off..).unwrap_or_default()) {
+            *d = v;
+        }
+    }
+
+    /// `dst[off..off + N] = v`; with `CLIP`, only the part inside `dst`.
+    #[inline(always)]
+    fn write<const N: usize, const CLIP: bool>(dst: &mut [f32], off: usize, v: &[f32; N]) {
+        if CLIP {
+            write_clipped(dst, off, v);
+        } else {
+            dst[off..off + N].copy_from_slice(v);
+        }
+    }
+
+    #[inline(never)]
+    fn write_clipped(dst: &mut [f32], off: usize, v: &[f32]) {
+        for (d, &x) in dst.get_mut(off..).unwrap_or_default().iter_mut().zip(v) {
+            *d = x;
+        }
+    }
+
+    /// Whether `reach` floats from `start` stay inside a matrix of `len`.
+    #[inline(always)]
+    fn inside(start: usize, reach: usize, len: usize) -> bool {
+        start + reach <= len
+    }
+
+    /// `m` (rows of `cols`) restaged with rows zero-padded to `stride`
+    /// (`stage[i·stride + j] = m[i·cols + j]`, or transposed when
+    /// `transpose`: `stage[j·stride + i] = m[i·cols + j]`). Weights only:
+    /// a few hundred floats per call.
+    fn stage_padded(
+        stage: &mut AlignedVec,
+        m: &[f32],
+        cols: usize,
+        stride: usize,
+        transpose: bool,
+    ) {
+        let rows = m.len() / cols;
+        stage.clear();
+        stage.resize(stride * if transpose { cols } else { rows }, 0.0);
+        if transpose {
+            for (i, row) in m.chunks_exact(cols).enumerate() {
+                for (&v, dst) in row.iter().zip(stage[i..].iter_mut().step_by(stride)) {
+                    *dst = v;
+                }
+            }
+        } else {
+            for (row, dst) in m.chunks_exact(cols).zip(stage.chunks_exact_mut(stride)) {
+                dst[..cols].copy_from_slice(row);
+            }
+        }
+    }
+
+    /// See [`super::gemm_nt`]. The weights are staged transposed with
+    /// their output dimension zero-padded to whole tiles (`wt[k][o]`), so
+    /// a layer narrower than one tile (100→5) is one vector of output
+    /// lanes; the bias follows them, padded alike. [`SAMPLES`] samples
+    /// share every weight-tile load.
+    #[inline(always)]
+    pub(super) fn gemm_nt(
+        ys: &mut [f32],
+        w: &[f32],
+        xs: &[f32],
+        c: usize,
+        epi: Option<Epilogue<'_>>,
+        stage: &mut AlignedVec,
+    ) {
+        let r_dim = w.len() / c;
+        let r_pad = r_dim.next_multiple_of(LANES);
+        stage_padded(stage, w, c, r_pad, true);
+        stage.resize((c + 1) * r_pad, 0.0);
+        let (wt, bias) = stage.split_at_mut(c * r_pad);
+        if let Some((b, _)) = epi {
+            bias[..r_dim].copy_from_slice(b);
+        }
+        // Without an epilogue the bias stays zero: an accumulation from
+        // `+0.0` never reaches `-0.0`, so adding `+0.0` changes no bit.
+        match epi {
+            Some((_, Activation::Relu)) => gemm_blocks::<true>(ys, wt, bias, xs, c, r_dim),
+            _ => gemm_blocks::<false>(ys, wt, bias, xs, c, r_dim),
+        }
+        if let Some((_, act @ (Activation::Tanh | Activation::Sigmoid))) = epi {
+            act.apply(ys);
+        }
+    }
+
+    /// All samples, [`SAMPLES`] at a time, then one by one.
+    #[inline(always)]
+    fn gemm_blocks<const RELU: bool>(
+        ys: &mut [f32],
+        wt: &[f32],
+        bias: &[f32],
+        xs: &[f32],
+        c: usize,
+        r_dim: usize,
+    ) {
+        let r_pad = bias.len();
+        let batch = xs.len() / c;
+        let mut s0 = 0;
+        while s0 + SAMPLES <= batch {
+            if inside((s0 + SAMPLES - 1) * r_dim, r_pad, ys.len()) {
+                gemm_block::<SAMPLES, false, RELU>(ys, wt, bias, xs, s0, c, r_dim);
+            } else {
+                gemm_block::<SAMPLES, true, RELU>(ys, wt, bias, xs, s0, c, r_dim);
+            }
+            s0 += SAMPLES;
+        }
+        for s in s0..batch {
+            if inside(s * r_dim, r_pad, ys.len()) {
+                gemm_block::<1, false, RELU>(ys, wt, bias, xs, s, c, r_dim);
+            } else {
+                gemm_block::<1, true, RELU>(ys, wt, bias, xs, s, c, r_dim);
+            }
+        }
+    }
+
+    /// Every output tile of samples `s0..s0 + S`, last tile first: the
+    /// accumulators plus the bias, clamped like the scalar kernel when
+    /// `RELU`, stored once.
+    #[inline(always)]
+    fn gemm_block<const S: usize, const CLIP: bool, const RELU: bool>(
+        ys: &mut [f32],
+        wt: &[f32],
+        bias: &[f32],
+        xs: &[f32],
+        s0: usize,
+        c: usize,
+        r_dim: usize,
+    ) {
+        let r_pad = bias.len();
+        let xrows: [&[f32]; S] = std::array::from_fn(|j| &xs[(s0 + j) * c..][..c]);
+        let mut pad = [0.0f32; LANES];
+        for o0 in (0..r_pad).step_by(LANES).rev() {
+            let mut acc = [[0.0f32; LANES]; S];
+            for (k, wrow) in wt.chunks_exact(r_pad).enumerate() {
+                let wv = read::<LANES, false>(wrow, o0, &mut pad);
+                for (a, x) in acc.iter_mut().zip(&xrows) {
+                    let xv = x[k];
+                    for (a, &wl) in a.iter_mut().zip(wv) {
+                        *a += wl * xv;
+                    }
+                }
+            }
+            let bv = read::<LANES, false>(bias, o0, &mut pad);
+            for (j, a) in acc.iter().enumerate() {
+                let mut y = *a;
+                for (y, &b) in y.iter_mut().zip(bv) {
+                    *y += b;
+                    if RELU && *y < 0.0 {
+                        *y = 0.0;
+                    }
+                }
+                write::<LANES, CLIP>(ys, (s0 + j) * r_dim + o0, &y);
+            }
+        }
+    }
+
+    /// See [`super::outer_t`]. Per gradient row `j`, a span of
+    /// [`GROUP`] tiles stays in registers across the whole batch.
+    #[inline(always)]
+    pub(super) fn outer_t(dwt: &mut [f32], a: &[f32], b: &[f32], alpha: f32, c: usize) {
+        let r_dim = dwt.len() / c;
+        if r_dim == 0 {
+            return;
+        }
+        for (j, drow) in dwt.chunks_exact_mut(r_dim).enumerate() {
+            for g0 in (0..r_dim).step_by(SPAN) {
+                if inside(g0, SPAN, r_dim) {
+                    outer_t_span::<false>(drow, a, b, alpha, c, j, g0);
+                } else {
+                    outer_t_span::<true>(drow, a, b, alpha, c, j, g0);
+                }
+            }
+        }
+    }
+
+    /// Span `g0..g0 + SPAN` of gradient row `j`, accumulated over the
+    /// batch; `CLIP` when the span runs past the row.
+    #[inline(always)]
+    fn outer_t_span<const CLIP: bool>(
+        drow: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        alpha: f32,
+        c: usize,
+        j: usize,
+        g0: usize,
+    ) {
+        let r_dim = drow.len();
+        let mut pad = [0.0f32; SPAN];
+        let mut acc = *read::<SPAN, CLIP>(drow, g0, &mut pad);
+        for (s, b_row) in b.chunks_exact(c).enumerate() {
+            let bv = b_row[j];
+            // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
+            if bv == 0.0 {
+                continue;
+            }
+            let off = s * r_dim + g0;
+            let av = if inside(off, SPAN, a.len()) {
+                read::<SPAN, false>(a, off, &mut pad)
+            } else {
+                read::<SPAN, true>(a, off, &mut pad)
+            };
+            madd_sx(&mut acc, alpha * bv, av);
+        }
+        write::<SPAN, CLIP>(drow, g0, &acc);
+    }
+
+    /// See [`super::backprop`]. The head delta is written for the whole
+    /// batch first and the weights are staged with rows zero-padded to
+    /// whole spans. Per sample, a span of [`GROUP`] tiles of `prev`
+    /// accumulates in registers over the nonzero delta entries (one, for
+    /// a single-action TD error) and is masked before its only store.
+    #[inline(always)]
+    pub(super) fn backprop(
+        prev: &mut [f32],
+        w: &[f32],
+        delta: &mut [f32],
+        head: Option<Head<'_>>,
+        mask: Option<Mask<'_>>,
+        c: usize,
+        wp: &mut AlignedVec,
+    ) {
+        if let Some((og, y, act)) = head {
+            head_delta(delta, og, y, act);
+        }
+        let r_dim = w.len() / c;
+        let c_pad = c.next_multiple_of(SPAN);
+        stage_padded(wp, w, c, c_pad, false);
+        for s in 0..prev.len() / c {
+            let drow = &delta[s * r_dim..(s + 1) * r_dim];
+            if inside(s * c, c_pad, prev.len()) {
+                backprop_row::<false>(prev, wp, drow, mask, c, s);
+            } else {
+                backprop_row::<true>(prev, wp, drow, mask, c, s);
+            }
+        }
+    }
+
+    /// Row `s` of `prev` from its delta row, span by span.
+    #[inline(always)]
+    fn backprop_row<const CLIP: bool>(
+        prev: &mut [f32],
+        wp: &[f32],
+        drow: &[f32],
+        mask: Option<Mask<'_>>,
+        c: usize,
+        s: usize,
+    ) {
+        let c_pad = c.next_multiple_of(SPAN);
+        let mut pad = [0.0f32; SPAN];
+        for g0 in (0..c).step_by(SPAN) {
+            let mut acc = [0.0f32; SPAN];
+            for (&d, wrow) in drow.iter().zip(wp.chunks_exact(c_pad)) {
+                // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
+                if d == 0.0 {
+                    continue;
+                }
+                madd_xs(&mut acc, read::<SPAN, false>(wrow, g0, &mut pad), d);
+            }
+            if let Some((ys, act)) = mask {
+                apply_mask(&mut acc, read::<SPAN, CLIP>(ys, s * c + g0, &mut pad), act);
+            }
+            write::<SPAN, CLIP>(prev, s * c + g0, &acc);
+        }
+    }
+
+    /// `d *= f'(y)` per lane, with the expressions of the scalar mask
+    /// kernels (Identity skips the `* 1.0`, which changes no bit of a
+    /// value f32 arithmetic produces, as the staged scalar tier does).
+    #[inline(always)]
+    fn apply_mask(acc: &mut Span, ys: &Span, act: Activation) {
+        match act {
+            Activation::Identity => {}
+            Activation::Relu => {
+                for (d, &y) in acc.iter_mut().zip(ys) {
+                    *d *= if y > 0.0 { 1.0 } else { 0.0 };
+                }
+            }
+            Activation::Tanh => {
+                for (d, &y) in acc.iter_mut().zip(ys) {
+                    *d *= 1.0 - y * y;
+                }
+            }
+            Activation::Sigmoid => {
+                for (d, &y) in acc.iter_mut().zip(ys) {
+                    *d *= y * (1.0 - y);
+                }
+            }
+        }
+    }
+}
+
 /// AVX `_mm256_cmp_ps` takes its predicate as a const generic, unlike the
-/// fixed-predicate SSE compare intrinsics; these wrappers give both ISAs
-/// the same two-argument shape for the kernel-set macro. `_OQ` (ordered,
-/// quiet) predicates match scalar `<` / `>`: false on NaN.
+/// fixed-predicate SSE compare intrinsics; this wrapper gives both ISAs
+/// the same two-argument shape for the kernel-set macro. The `_OQ`
+/// (ordered, quiet) predicate matches scalar `<`: false on NaN.
 #[cfg(target_arch = "x86_64")]
 mod cmp256 {
     use core::arch::x86_64::*;
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx2 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gt(a: __m256, b: __m256) -> __m256 {
-        _mm256_cmp_ps::<_CMP_GT_OQ>(a, b)
-    }
 
     // SAFETY: target_feature-only unsafety — called exclusively from the
     // avx2 kernel set, which itself runs only after runtime detection.
@@ -1055,16 +1615,15 @@ mod cmp256 {
 }
 
 /// AVX-512 compares produce opmask registers (`__mmask16`) rather than
-/// vector masks, and AVX-512F has no float bitwise ops (`_mm512_and_ps`
+/// vector masks, and AVX-512F has no float bitwise ops (`_mm512_andnot_ps`
 /// is AVX-512DQ); these shims re-express both in the all-ones-lane vector
 /// shape the kernel-set macro expects, so the 16-wide instantiation reads
 /// identically to the 8- and 4-wide ones. `maskz_set1(-1)` expands an
 /// opmask to the exact all-ones/all-zeros lanes a vector compare would
-/// produce, and the bitwise ops round-trip through `si512` — both are
-/// pure bit moves, so the established `andnot(x < 0, x)` /
-/// `and(mask, 1.0)` identities keep their scalar semantics unchanged.
-/// `_OQ` predicates as in [`cmp256`]: false on NaN, matching scalar
-/// `<` / `>`.
+/// produce, and the bitwise op round-trips through `si512` — both are
+/// pure bit moves, so the `andnot(x < 0, x)` ReLU identity keeps its
+/// scalar semantics. The `_OQ` predicate as in [`cmp256`]: false on NaN,
+/// matching scalar `<`.
 #[cfg(target_arch = "x86_64")]
 mod m512 {
     use core::arch::x86_64::*;
@@ -1081,27 +1640,8 @@ mod m512 {
     // avx512 kernel set, which itself runs only after runtime detection.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gt(a: __m512, b: __m512) -> __m512 {
-        mask_lanes(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, b))
-    }
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn lt(a: __m512, b: __m512) -> __m512 {
         mask_lanes(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b))
-    }
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn and(a: __m512, b: __m512) -> __m512 {
-        _mm512_castsi512_ps(_mm512_and_si512(
-            _mm512_castps_si512(a),
-            _mm512_castps_si512(b),
-        ))
     }
 
     /// `(!a) & b`, matching `_mm_andnot_ps` / `_mm256_andnot_ps` operand
@@ -1133,8 +1673,8 @@ mod m512 {
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_kernel_set {
     ($modname:ident, $feature:literal, $w:literal,
-     $loadu:ident, $storeu:ident, $set1:ident, $add:ident, $mul:ident, $sub:ident,
-     $and:path, $andnot:path, $cmpgt:path, $cmplt:path) => {
+     $loadu:ident, $storeu:ident, $set1:ident, $add:ident, $mul:ident,
+     $andnot:path, $cmplt:path) => {
         mod $modname {
             #[allow(unused_imports)]
             use core::arch::x86_64::*;
@@ -1158,52 +1698,6 @@ macro_rules! x86_kernel_set {
                 }
             }
 
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn axpy2(acc: &mut [f32], x0: &[f32], w0: f32, x1: &[f32], w1: f32) {
-                let n = acc.len().min(x0.len()).min(x1.len());
-                let w0v = $set1(w0);
-                let w1v = $set1(w1);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let a = $loadu(acc.as_ptr().add(i));
-                    let v0 = $loadu(x0.as_ptr().add(i));
-                    let v1 = $loadu(x1.as_ptr().add(i));
-                    $storeu(
-                        acc.as_mut_ptr().add(i),
-                        $add($add(a, $mul(w0v, v0)), $mul(w1v, v1)),
-                    );
-                    i += $w;
-                }
-                for ((a, &v0), &v1) in acc[i..n].iter_mut().zip(&x0[i..n]).zip(&x1[i..n]) {
-                    *a = (*a + w0 * v0) + w1 * v1;
-                }
-            }
-
-            /// `y[i] += ws[i] · x` — weight vector times splatted scalar;
-            /// operand order matches `matvec_transpose_into`'s
-            /// `*yc += wv * xv`.
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn axpy_wx(y: &mut [f32], ws: &[f32], x: f32) {
-                let n = y.len().min(ws.len());
-                let xv = $set1(x);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let wv = $loadu(ws.as_ptr().add(i));
-                    let a = $loadu(y.as_ptr().add(i));
-                    $storeu(y.as_mut_ptr().add(i), $add(a, $mul(wv, xv)));
-                    i += $w;
-                }
-                for (a, &wv) in y[i..n].iter_mut().zip(&ws[i..n]) {
-                    *a += wv * x;
-                }
-            }
-
             /// `acc[i] += xs[i]` over the overlapping prefix.
             // SAFETY: target_feature-only unsafety — reachable solely via
             // `dispatch!` after runtime detection of `$feature`; pointer
@@ -1224,67 +1718,48 @@ macro_rules! x86_kernel_set {
             }
 
             // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
+            // `dispatch!` after runtime detection of `$feature`; the body is the safe
+            // portable kernel, compiled here for this tier.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn gemm_lanes(acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
-                let tl = acc.len();
-                if tl == 0 {
-                    return;
-                }
-                let mut ws = wrow.chunks_exact(2);
-                let mut cols = xt.chunks_exact(2 * tl);
-                for (wp, cp) in ws.by_ref().zip(cols.by_ref()) {
-                    let (c0, c1) = cp.split_at(tl);
-                    axpy2(acc, c0, wp[0], c1, wp[1]);
-                }
-                for (&w, col) in ws.remainder().iter().zip(cols.remainder().chunks_exact(tl)) {
-                    axpy(acc, col, w);
-                }
+            pub(super) unsafe fn gemm_nt(
+                ys: &mut [f32],
+                w: &[f32],
+                xs: &[f32],
+                c: usize,
+                epi: Option<super::Epilogue<'_>>,
+                stage: &mut crate::align::AlignedVec,
+            ) {
+                super::tile::gemm_nt(ys, w, xs, c, epi, stage)
             }
 
             // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
+            // `dispatch!` after runtime detection of `$feature`; the body is the safe
+            // portable kernel, compiled here for this tier.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn matvec_lanes(y: &mut [f32], wt: &[f32], x: &[f32]) {
-                let r_dim = y.len();
-                if r_dim == 0 {
-                    return;
-                }
-                y.fill(0.0);
-                let mut xs = x.chunks_exact(2);
-                let mut ws = wt.chunks_exact(2 * r_dim);
-                for (xp, wp) in xs.by_ref().zip(ws.by_ref()) {
-                    let (w0, w1) = wp.split_at(r_dim);
-                    axpy2(y, w0, xp[0], w1, xp[1]);
-                }
-                for (&xv, wrow) in xs
-                    .remainder()
-                    .iter()
-                    .zip(ws.remainder().chunks_exact(r_dim))
-                {
-                    axpy(y, wrow, xv);
-                }
+            pub(super) unsafe fn outer_t(
+                dwt: &mut [f32],
+                a: &[f32],
+                b: &[f32],
+                alpha: f32,
+                c: usize,
+            ) {
+                super::tile::outer_t(dwt, a, b, alpha, c)
             }
 
             // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
+            // `dispatch!` after runtime detection of `$feature`; the body is the safe
+            // portable kernel, compiled here for this tier.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn matvec_t_sample(y: &mut [f32], w: &[f32], x: &[f32]) {
-                y.fill(0.0);
-                let cols = y.len();
-                if cols == 0 {
-                    return;
-                }
-                for (&xv, row) in x.iter().zip(w.chunks_exact(cols)) {
-                    // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    axpy_wx(y, row, xv);
-                }
+            pub(super) unsafe fn backprop(
+                prev: &mut [f32],
+                w: &[f32],
+                delta: &mut [f32],
+                head: Option<super::Head<'_>>,
+                mask: Option<super::Mask<'_>>,
+                c: usize,
+                stage: &mut crate::align::AlignedVec,
+            ) {
+                super::tile::backprop(prev, w, delta, head, mask, c, stage)
             }
 
             // SAFETY: target_feature-only unsafety — reachable solely via
@@ -1307,42 +1782,6 @@ macro_rules! x86_kernel_set {
                         continue;
                     }
                     axpy(row, b_row, alpha * av);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn outer_lanes_sample(
-                dwt: &mut [f32],
-                a_row: &[f32],
-                b_row: &[f32],
-                alpha: f32,
-            ) {
-                let rows = a_row.len();
-                if rows == 0 {
-                    return;
-                }
-                for (&bv, drow) in b_row.iter().zip(dwt.chunks_exact_mut(rows)) {
-                    // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-                    if bv == 0.0 {
-                        continue;
-                    }
-                    axpy(drow, a_row, alpha * bv);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
-                if bias.is_empty() {
-                    return;
-                }
-                for row in out.chunks_exact_mut(bias.len()) {
-                    add_assign(row, bias);
                 }
             }
 
@@ -1382,68 +1821,6 @@ macro_rules! x86_kernel_set {
                     }
                 }
             }
-
-            /// Multiply by an `and`-selected `{0.0, 1.0}` mask — the same
-            /// `d * 0.0` / `d * 1.0` the scalar branchless select
-            /// performs, so `±0.0` signs survive identically.
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn relu_mask(deltas: &mut [f32], ys: &[f32]) {
-                let n = deltas.len().min(ys.len());
-                let zero = $set1(0.0);
-                let one = $set1(1.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let d = $loadu(deltas.as_ptr().add(i));
-                    let y = $loadu(ys.as_ptr().add(i));
-                    let m = $and($cmpgt(y, zero), one);
-                    $storeu(deltas.as_mut_ptr().add(i), $mul(d, m));
-                    i += $w;
-                }
-                for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-                    *d *= if y > 0.0 { 1.0 } else { 0.0 };
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn tanh_mask(deltas: &mut [f32], ys: &[f32]) {
-                let n = deltas.len().min(ys.len());
-                let one = $set1(1.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let d = $loadu(deltas.as_ptr().add(i));
-                    let y = $loadu(ys.as_ptr().add(i));
-                    $storeu(deltas.as_mut_ptr().add(i), $mul(d, $sub(one, $mul(y, y))));
-                    i += $w;
-                }
-                for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-                    *d *= 1.0 - y * y;
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn sigmoid_mask(deltas: &mut [f32], ys: &[f32]) {
-                let n = deltas.len().min(ys.len());
-                let one = $set1(1.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let d = $loadu(deltas.as_ptr().add(i));
-                    let y = $loadu(ys.as_ptr().add(i));
-                    $storeu(deltas.as_mut_ptr().add(i), $mul(d, $mul(y, $sub(one, y))));
-                    i += $w;
-                }
-                for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-                    *d *= y * (1.0 - y);
-                }
-            }
         }
     };
 }
@@ -1458,10 +1835,7 @@ x86_kernel_set!(
     _mm512_set1_ps,
     _mm512_add_ps,
     _mm512_mul_ps,
-    _mm512_sub_ps,
-    super::m512::and,
     super::m512::andnot,
-    super::m512::gt,
     super::m512::lt
 );
 
@@ -1475,10 +1849,7 @@ x86_kernel_set!(
     _mm256_set1_ps,
     _mm256_add_ps,
     _mm256_mul_ps,
-    _mm256_sub_ps,
-    _mm256_and_ps,
     _mm256_andnot_ps,
-    super::cmp256::gt,
     super::cmp256::lt
 );
 
@@ -1492,10 +1863,7 @@ x86_kernel_set!(
     _mm_set1_ps,
     _mm_add_ps,
     _mm_mul_ps,
-    _mm_sub_ps,
-    _mm_and_ps,
     _mm_andnot_ps,
-    _mm_cmpgt_ps,
     _mm_cmplt_ps
 );
 
@@ -2180,50 +2548,6 @@ mod neon {
         }
     }
 
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy2(acc: &mut [f32], x0: &[f32], w0: f32, x1: &[f32], w1: f32) {
-        let n = acc.len().min(x0.len()).min(x1.len());
-        let w0v = vdupq_n_f32(w0);
-        let w1v = vdupq_n_f32(w1);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = vld1q_f32(acc.as_ptr().add(i));
-            let v0 = vld1q_f32(x0.as_ptr().add(i));
-            let v1 = vld1q_f32(x1.as_ptr().add(i));
-            vst1q_f32(
-                acc.as_mut_ptr().add(i),
-                vaddq_f32(vaddq_f32(a, vmulq_f32(w0v, v0)), vmulq_f32(w1v, v1)),
-            );
-            i += 4;
-        }
-        for ((a, &v0), &v1) in acc[i..n].iter_mut().zip(&x0[i..n]).zip(&x1[i..n]) {
-            *a = (*a + w0 * v0) + w1 * v1;
-        }
-    }
-
-    /// `y[i] += ws[i] · x` — weight vector times splatted scalar.
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_wx(y: &mut [f32], ws: &[f32], x: f32) {
-        let n = y.len().min(ws.len());
-        let xv = vdupq_n_f32(x);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let wv = vld1q_f32(ws.as_ptr().add(i));
-            let a = vld1q_f32(y.as_ptr().add(i));
-            vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(a, vmulq_f32(wv, xv)));
-            i += 4;
-        }
-        for (a, &wv) in y[i..n].iter_mut().zip(&ws[i..n]) {
-            *a += wv * x;
-        }
-    }
-
     /// `acc[i] += xs[i]` over the overlapping prefix.
     // SAFETY: target_feature-only unsafety — reachable solely via
     // `dispatch!` after runtime detection of NEON; pointer offsets stay
@@ -2244,64 +2568,42 @@ mod neon {
     }
 
     // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
+    // `dispatch!` after runtime detection of NEON; the body is the safe
+    // portable kernel, compiled here for this tier.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemm_lanes(acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
-        let tl = acc.len();
-        if tl == 0 {
-            return;
-        }
-        let mut ws = wrow.chunks_exact(2);
-        let mut cols = xt.chunks_exact(2 * tl);
-        for (wp, cp) in ws.by_ref().zip(cols.by_ref()) {
-            let (c0, c1) = cp.split_at(tl);
-            axpy2(acc, c0, wp[0], c1, wp[1]);
-        }
-        for (&w, col) in ws.remainder().iter().zip(cols.remainder().chunks_exact(tl)) {
-            axpy(acc, col, w);
-        }
+    pub(super) unsafe fn gemm_nt(
+        ys: &mut [f32],
+        w: &[f32],
+        xs: &[f32],
+        c: usize,
+        epi: Option<super::Epilogue<'_>>,
+        stage: &mut crate::align::AlignedVec,
+    ) {
+        super::tile::gemm_nt(ys, w, xs, c, epi, stage)
     }
 
     // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
+    // `dispatch!` after runtime detection of NEON; the body is the safe
+    // portable kernel, compiled here for this tier.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn matvec_lanes(y: &mut [f32], wt: &[f32], x: &[f32]) {
-        let r_dim = y.len();
-        if r_dim == 0 {
-            return;
-        }
-        y.fill(0.0);
-        let mut xs = x.chunks_exact(2);
-        let mut ws = wt.chunks_exact(2 * r_dim);
-        for (xp, wp) in xs.by_ref().zip(ws.by_ref()) {
-            let (w0, w1) = wp.split_at(r_dim);
-            axpy2(y, w0, xp[0], w1, xp[1]);
-        }
-        for (&xv, wrow) in xs
-            .remainder()
-            .iter()
-            .zip(ws.remainder().chunks_exact(r_dim))
-        {
-            axpy(y, wrow, xv);
-        }
+    pub(super) unsafe fn outer_t(dwt: &mut [f32], a: &[f32], b: &[f32], alpha: f32, c: usize) {
+        super::tile::outer_t(dwt, a, b, alpha, c)
     }
 
     // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
+    // `dispatch!` after runtime detection of NEON; the body is the safe
+    // portable kernel, compiled here for this tier.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn matvec_t_sample(y: &mut [f32], w: &[f32], x: &[f32]) {
-        y.fill(0.0);
-        let cols = y.len();
-        if cols == 0 {
-            return;
-        }
-        for (&xv, row) in x.iter().zip(w.chunks_exact(cols)) {
-            // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-            if xv == 0.0 {
-                continue;
-            }
-            axpy_wx(y, row, xv);
-        }
+    pub(super) unsafe fn backprop(
+        prev: &mut [f32],
+        w: &[f32],
+        delta: &mut [f32],
+        head: Option<super::Head<'_>>,
+        mask: Option<super::Mask<'_>>,
+        c: usize,
+        stage: &mut crate::align::AlignedVec,
+    ) {
+        super::tile::backprop(prev, w, delta, head, mask, c, stage)
     }
 
     // SAFETY: target_feature-only unsafety — reachable solely via
@@ -2323,40 +2625,6 @@ mod neon {
                 continue;
             }
             axpy(row, b_row, alpha * av);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn outer_lanes_sample(
-        dwt: &mut [f32],
-        a_row: &[f32],
-        b_row: &[f32],
-        alpha: f32,
-    ) {
-        let rows = a_row.len();
-        if rows == 0 {
-            return;
-        }
-        for (&bv, drow) in b_row.iter().zip(dwt.chunks_exact_mut(rows)) {
-            // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-            if bv == 0.0 {
-                continue;
-            }
-            axpy(drow, a_row, alpha * bv);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
-        if bias.is_empty() {
-            return;
-        }
-        for row in out.chunks_exact_mut(bias.len()) {
-            add_assign(row, bias);
         }
     }
 
@@ -2395,70 +2663,6 @@ mod neon {
             if *x < 0.0 {
                 *x = 0.0;
             }
-        }
-    }
-
-    /// Multiply by an `and`-selected `{0.0, 1.0}` mask — the same
-    /// `d * 0.0` / `d * 1.0` the scalar branchless select performs.
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn relu_mask(deltas: &mut [f32], ys: &[f32]) {
-        let n = deltas.len().min(ys.len());
-        let zero = vdupq_n_f32(0.0);
-        let one = vdupq_n_f32(1.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = vld1q_f32(deltas.as_ptr().add(i));
-            let y = vld1q_f32(ys.as_ptr().add(i));
-            let pos = vcgtq_f32(y, zero);
-            let m = vreinterpretq_f32_u32(vandq_u32(vreinterpretq_u32_f32(one), pos));
-            vst1q_f32(deltas.as_mut_ptr().add(i), vmulq_f32(d, m));
-            i += 4;
-        }
-        for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-            *d *= if y > 0.0 { 1.0 } else { 0.0 };
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn tanh_mask(deltas: &mut [f32], ys: &[f32]) {
-        let n = deltas.len().min(ys.len());
-        let one = vdupq_n_f32(1.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = vld1q_f32(deltas.as_ptr().add(i));
-            let y = vld1q_f32(ys.as_ptr().add(i));
-            let m = vsubq_f32(one, vmulq_f32(y, y));
-            vst1q_f32(deltas.as_mut_ptr().add(i), vmulq_f32(d, m));
-            i += 4;
-        }
-        for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-            *d *= 1.0 - y * y;
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn sigmoid_mask(deltas: &mut [f32], ys: &[f32]) {
-        let n = deltas.len().min(ys.len());
-        let one = vdupq_n_f32(1.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = vld1q_f32(deltas.as_ptr().add(i));
-            let y = vld1q_f32(ys.as_ptr().add(i));
-            let m = vmulq_f32(y, vsubq_f32(one, y));
-            vst1q_f32(deltas.as_mut_ptr().add(i), vmulq_f32(d, m));
-            i += 4;
-        }
-        for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-            *d *= y * (1.0 - y);
         }
     }
 
@@ -2701,44 +2905,105 @@ mod tests {
         assert_eq!(active(), dispatched());
     }
 
-    #[test]
-    fn gemm_and_matvec_lanes_match_scalar_bitwise() {
-        for be in non_scalar() {
-            for &tl in LENS {
-                for k_dim in [0usize, 1, 2, 3, 5, 8] {
-                    let wrow = vals(k_dim, 1);
-                    let xt = vals(k_dim * tl, 2);
-                    let mut want = vals(tl, 3);
-                    let mut got = want.clone();
-                    scalar::gemm_lanes(&mut want, &wrow, &xt);
-                    super::gemm_lanes(be, &mut got, &wrow, &xt);
-                    assert_eq!(bits(&got), bits(&want), "{be} gemm tl={tl} k={k_dim}");
+    /// Shapes around the 16-lane tile: narrow (< 1 tile), exact tiles,
+    /// multi-tile groups with tails, and the 4→100→5 controller shapes.
+    const DIMS: &[usize] = &[1, 2, 3, 4, 5, 7, 15, 16, 17, 33, 64, 65, 100];
 
-                    let wt = vals(k_dim * tl, 4);
-                    let x = vals(k_dim, 5);
-                    let mut want = vec![9.0f32; tl];
-                    let mut got = want.clone();
-                    scalar::matvec_lanes(&mut want, &wt, &x);
-                    super::matvec_lanes(be, &mut got, &wt, &x);
-                    assert_eq!(bits(&got), bits(&want), "{be} matvec tl={tl} k={k_dim}");
+    #[test]
+    fn gemm_nt_matches_scalar_tier_bitwise() {
+        for be in non_scalar() {
+            for &r_dim in DIMS {
+                for c in [1usize, 2, 3, 4, 5, 17, 100] {
+                    for batch in [1usize, 3, 4, 5, 9, 32] {
+                        let w = vals(r_dim * c, 1);
+                        let xs = vals(batch * c, 2);
+                        let mut want = vals(batch * r_dim, 3);
+                        let mut got = want.clone();
+                        super::gemm_nt(KernelBackend::Scalar, &mut want, &w, &xs, c, None);
+                        super::gemm_nt(be, &mut got, &w, &xs, c, None);
+                        assert_eq!(bits(&got), bits(&want), "{be} gemm {batch}x{c}->{r_dim}");
+                        let bias = vals(r_dim, 4);
+                        for act in [
+                            Activation::Relu,
+                            Activation::Tanh,
+                            Activation::Sigmoid,
+                            Activation::Identity,
+                        ] {
+                            let epi = Some((&bias[..], act));
+                            super::gemm_nt(KernelBackend::Scalar, &mut want, &w, &xs, c, epi);
+                            super::gemm_nt(be, &mut got, &w, &xs, c, epi);
+                            let what = format!("{be} dense {batch}x{c}->{r_dim} {act:?}");
+                            assert_eq!(bits(&got), bits(&want), "{what}");
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn matvec_t_and_outer_samples_match_scalar_bitwise() {
+    fn outer_t_matches_scalar_tier_bitwise() {
+        for be in non_scalar() {
+            for &r_dim in DIMS {
+                for c in [1usize, 2, 3, 4, 5, 15] {
+                    for batch in [1usize, 3, 32] {
+                        // Deltas and inputs both carry exact ±0.0.
+                        let a = vals(batch * r_dim, 8);
+                        let b = vals(batch * c, 9);
+                        let mut want = vec![0.0f32; r_dim * c];
+                        let mut got = want.clone();
+                        for alpha in [1.0f32, -0.5] {
+                            super::outer_t(KernelBackend::Scalar, &mut want, &a, &b, alpha, c);
+                            super::outer_t(be, &mut got, &a, &b, alpha, c);
+                        }
+                        assert_eq!(bits(&got), bits(&want), "{be} outer_t {batch}x{r_dim}x{c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backprop_matches_scalar_tier_bitwise() {
+        let acts = [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ];
+        for be in non_scalar() {
+            for r_dim in [1usize, 3, 5, 16, 17] {
+                for &c in DIMS {
+                    for batch in [1usize, 5, 32] {
+                        let w = vals(r_dim * c, 6);
+                        let ys = vals(batch * c, 7);
+                        let og = vals(batch * r_dim, 10);
+                        let y_out = vals(batch * r_dim, 11);
+                        for (i, &act) in acts.iter().enumerate() {
+                            let head = (i % 2 == 0).then_some((&og[..], &y_out[..], acts[3 - i]));
+                            let mask = (i != 3).then_some((&ys[..], act));
+                            let mut want_delta = vals(batch * r_dim, 12);
+                            let mut got_delta = want_delta.clone();
+                            let mut want = vals(batch * c, 13);
+                            let mut got = want.clone();
+                            let scalar = KernelBackend::Scalar;
+                            super::backprop(scalar, &mut want, &w, &mut want_delta, head, mask, c);
+                            super::backprop(be, &mut got, &w, &mut got_delta, head, mask, c);
+                            let what = format!("{be} backprop {batch}x{r_dim}->{c} {act:?}");
+                            assert_eq!(bits(&got_delta), bits(&want_delta), "{what} delta");
+                            assert_eq!(bits(&got), bits(&want), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outer_rows_sample_matches_scalar_bitwise() {
         for be in non_scalar() {
             for &cols in LENS {
                 for rows in [0usize, 1, 2, 3, 5, 8] {
-                    let w = vals(rows * cols, 6);
-                    let x = vals(rows, 7); // includes exact zeros → skip path
-                    let mut want = vec![1.0f32; cols];
-                    let mut got = want.clone();
-                    scalar::matvec_t_sample(&mut want, &w, &x);
-                    super::matvec_t_sample(be, &mut got, &w, &x);
-                    assert_eq!(bits(&got), bits(&want), "{be} matvec_t {rows}x{cols}");
-
                     let a = vals(rows, 8);
                     let b = vals(cols, 9);
                     let mut want = vals(rows * cols, 10);
@@ -2746,29 +3011,16 @@ mod tests {
                     scalar::outer_rows_sample(&mut want, &a, &b, 0.37);
                     super::outer_rows_sample(be, &mut got, &a, &b, 0.37);
                     assert_eq!(bits(&got), bits(&want), "{be} outer_rows {rows}x{cols}");
-
-                    let mut want = vals(rows * cols, 11);
-                    let mut got = want.clone();
-                    scalar::outer_lanes_sample(&mut want, &a, &b, -1.1);
-                    super::outer_lanes_sample(be, &mut got, &a, &b, -1.1);
-                    assert_eq!(bits(&got), bits(&want), "{be} outer_lanes {rows}x{cols}");
                 }
             }
         }
     }
 
     #[test]
-    fn bias_and_row_sums_match_scalar_bitwise() {
+    fn row_sums_match_scalar_bitwise() {
         for be in non_scalar() {
             for &n in LENS {
                 for samples in [0usize, 1, 3, 4] {
-                    let bias = vals(n, 12);
-                    let mut want = vals(samples * n, 13);
-                    let mut got = want.clone();
-                    scalar::add_bias_rows(&mut want, &bias);
-                    super::add_bias_rows(be, &mut got, &bias);
-                    assert_eq!(bits(&got), bits(&want), "{be} bias n={n} s={samples}");
-
                     let rows = vals(samples * n, 14);
                     let mut want = vals(n, 15);
                     let mut got = want.clone();
@@ -2781,7 +3033,7 @@ mod tests {
     }
 
     #[test]
-    fn activations_match_scalar_bitwise_including_signed_zero_and_nan() {
+    fn relu_matches_scalar_bitwise_including_signed_zero_and_nan() {
         for be in non_scalar() {
             for &n in LENS {
                 let mut xs = vals(n, 16);
@@ -2793,25 +3045,6 @@ mod tests {
                 scalar::relu(&mut want);
                 super::relu(be, &mut got);
                 assert_eq!(bits(&got), bits(&want), "{be} relu n={n}");
-
-                let ys = vals(n, 17);
-                let mut want = vals(n, 18);
-                let mut got = want.clone();
-                scalar::relu_mask(&mut want, &ys);
-                super::relu_mask(be, &mut got, &ys);
-                assert_eq!(bits(&got), bits(&want), "{be} relu_mask n={n}");
-
-                let mut want = vals(n, 19);
-                let mut got = want.clone();
-                scalar::tanh_mask(&mut want, &ys);
-                super::tanh_mask(be, &mut got, &ys);
-                assert_eq!(bits(&got), bits(&want), "{be} tanh_mask n={n}");
-
-                let mut want = vals(n, 20);
-                let mut got = want.clone();
-                scalar::sigmoid_mask(&mut want, &ys);
-                super::sigmoid_mask(be, &mut got, &ys);
-                assert_eq!(bits(&got), bits(&want), "{be} sigmoid_mask n={n}");
             }
         }
     }
